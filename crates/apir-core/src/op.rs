@@ -212,6 +212,22 @@ impl BodyOp {
         )
     }
 
+    /// The guard of an effectful op: when its value is 0 the op skips
+    /// its effect and produces 0.
+    pub fn guard(&self) -> Option<ValRef> {
+        match self {
+            BodyOp::Store { guard, .. }
+            | BodyOp::Enqueue { guard, .. }
+            | BodyOp::EnqueueRange { guard, .. }
+            | BodyOp::Requeue { guard, .. }
+            | BodyOp::AllocRule { guard, .. }
+            | BodyOp::Rendezvous { guard, .. }
+            | BodyOp::Emit { guard, .. }
+            | BodyOp::Extern { guard, .. } => *guard,
+            _ => None,
+        }
+    }
+
     /// All value operands referenced by this op (for validation).
     pub fn operands(&self) -> Vec<ValRef> {
         let mut v = Vec::new();

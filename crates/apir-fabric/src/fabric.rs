@@ -18,8 +18,8 @@ use crate::rules::{ClaimOutcome, RuleEngine, RuleEngineStats, RuleMetrics};
 use crate::snapshot::{self, SNAPSHOT_SCHEMA};
 use crate::types::{to_fields, Ctx, EventMsg, MemReq, TaskToken, WriteKind};
 use crate::FabricConfig;
-use apir_core::op::{BodyOp, StoreKind};
-use apir_core::spec::{ExternIn, Spec, TaskSetId};
+use apir_core::op::{BodyOp, StoreKind, ValRef};
+use apir_core::spec::{ExternIn, RuleId, Spec, TaskSetId};
 use apir_core::{IndexTuple, ProgramInput, MAX_FIELDS};
 use apir_sim::delay::OutOfOrderStation;
 use apir_sim::fifo::Fifo;
@@ -298,6 +298,8 @@ struct Stage {
     station: Option<OutOfOrderStation<Ctx>>,
     /// Progress cursor of an in-flight `EnqueueRange`.
     expand_pos: Option<u64>,
+    /// Busy and stall cycles. `idle` stays 0 here: it is derived, see
+    /// [`Stage::tracker_at`].
     tracker: ActivityTracker,
     /// Trace component of this stage (meaningful only when tracing).
     comp: CompId,
@@ -310,14 +312,46 @@ struct Stage {
     last_stall_cause: StallCause,
 }
 
+impl Stage {
+    /// The stage's activity through `cycle`. Every cycle a stage is
+    /// exactly one of busy, stall or idle, so idle is what busy and
+    /// stall leave; it is never counted, which is what lets a stage out
+    /// of the active set cost nothing.
+    fn tracker_at(&self, cycle: u64) -> ActivityTracker {
+        ActivityTracker {
+            idle: cycle - self.tracker.busy - self.tracker.stall,
+            ..self.tracker
+        }
+    }
+}
+
 struct Pipeline {
     set: TaskSetId,
     latches: Vec<Option<Ctx>>,
     stages: Vec<Stage>,
+    /// The active set, one bit per stage (bit `i % 64` of word
+    /// `i / 64`): the stages the next tick visits. A stage joins when a
+    /// context lands in its latch or a response lands on its port, and
+    /// leaves after a visit that ends idle. Every stage is in the set
+    /// after [`Fabric::new`] and after a restore.
+    active: Vec<u64>,
     /// Extern unit attached to this pipeline (if the body calls externs).
     extern_unit: Option<ExternUnit>,
     /// Trace component of this pipeline (meaningful only when tracing).
     comp: CompId,
+}
+
+impl Pipeline {
+    fn activate(&mut self, i: usize) {
+        self.active[i / 64] |= 1u64 << (i % 64);
+    }
+
+    fn activate_all(&mut self) {
+        let n = self.stages.len();
+        for (w, word) in self.active.iter_mut().enumerate() {
+            *word = stage_mask(n, w);
+        }
+    }
 }
 
 struct ExternJob {
@@ -353,6 +387,8 @@ pub struct Fabric {
     pipelines: Vec<Pipeline>,
     /// Per-port response queues `(tag, word)`.
     resp: Vec<VecDeque<(u64, u64)>>,
+    /// Response port → `(pipeline, stage)` that drains it.
+    port_owner: Vec<(usize, usize)>,
     bus_staged: Vec<EventMsg>,
     bus_current: Vec<EventMsg>,
     /// Live tasks: queued or in flight, keyed by `(index, seq)`.
@@ -472,8 +508,7 @@ impl Fabric {
             .iter()
             .map(|r| intern(&format!("rule:{}", r.name)))
             .collect();
-        let mut next_port = 0u32;
-        let mut resp_count = 0usize;
+        let mut port_owner = Vec::new();
         let mut pipelines = Vec::new();
         for (tsi, ts) in spec.task_sets().iter().enumerate() {
             for replica in 0..cfg.pipelines_per_set {
@@ -481,40 +516,34 @@ impl Fabric {
                 let mut stages = Vec::with_capacity(ts.body.len());
                 let mut has_extern = false;
                 for (si, op) in ts.body.iter().enumerate() {
-                    let (port, station) = match op {
-                        BodyOp::Load { .. } | BodyOp::Store { .. } => {
-                            let p = next_port;
-                            next_port += 1;
-                            (Some(p), Some(OutOfOrderStation::new(cfg.lsu_window)))
-                        }
-                        BodyOp::Rendezvous { .. } => {
-                            let p = next_port;
-                            next_port += 1;
-                            (Some(p), Some(OutOfOrderStation::new(cfg.rendezvous_window)))
-                        }
+                    let window = match op {
+                        BodyOp::Load { .. } | BodyOp::Store { .. } => Some(cfg.lsu_window),
+                        BodyOp::Rendezvous { .. } => Some(cfg.rendezvous_window),
                         BodyOp::Extern { .. } => {
                             has_extern = true;
-                            let p = next_port;
-                            next_port += 1;
-                            (Some(p), Some(OutOfOrderStation::new(cfg.lsu_window)))
+                            Some(cfg.lsu_window)
                         }
-                        _ => (None, None),
+                        _ => None,
                     };
+                    let port = window.map(|_| {
+                        port_owner.push((pipelines.len(), si));
+                        (port_owner.len() - 1) as u32
+                    });
                     stages.push(Stage {
                         comp: intern(&format!("{pipe_name}/s{si}:{}", op.mnemonic())),
                         op: op.clone(),
                         port,
-                        station,
+                        station: window.map(OutOfOrderStation::new),
                         expand_pos: None,
                         tracker: ActivityTracker::new(),
                         last_activity: None,
                         last_stall_cause: StallCause::DownstreamFull,
                     });
                 }
-                resp_count = next_port as usize;
-                pipelines.push(Pipeline {
+                let mut p = Pipeline {
                     set: TaskSetId(tsi),
                     latches: vec![None; ts.body.len()],
+                    active: vec![0; ts.body.len().div_ceil(64)],
                     stages,
                     extern_unit: has_extern.then(|| ExternUnit {
                         queue: Fifo::new(4),
@@ -522,7 +551,9 @@ impl Fabric {
                         calls: 0,
                     }),
                     comp: intern(&pipe_name),
-                });
+                };
+                p.activate_all();
+                pipelines.push(p);
             }
         }
         let seed_backlog: VecDeque<(TaskSetId, [u64; MAX_FIELDS])> = input
@@ -557,7 +588,8 @@ impl Fabric {
             queues,
             engines,
             pipelines,
-            resp: vec![VecDeque::new(); resp_count],
+            resp: vec![VecDeque::new(); port_owner.len()],
+            port_owner,
             bus_staged: Vec::new(),
             bus_current: Vec::new(),
             live: BTreeSet::new(),
@@ -628,7 +660,8 @@ impl Fabric {
     ///
     /// Restore equivalence: snapshotting the paused fabric, restoring
     /// it, and running to completion is byte-identical to the
-    /// uninterrupted run.
+    /// uninterrupted run (under rollback recovery, only when the pause
+    /// lands on a checkpoint cycle; see [`crate::snapshot`]).
     ///
     /// # Errors
     ///
@@ -811,10 +844,7 @@ impl Fabric {
                 let BodyOp::Rendezvous { rule_instance, .. } = &stage.op else {
                     continue;
                 };
-                let rule = match &self.spec.task_sets()[set.0].body[rule_instance.pos()] {
-                    BodyOp::AllocRule { rule, .. } => *rule,
-                    _ => unreachable!("validated spec"),
-                };
+                let rule = rendezvous_rule(&self.spec, set, *rule_instance);
                 let station = stage.station.as_mut().expect("rendezvous has station");
                 while let Some(tag) = station.timeout_one(now + 1) {
                     self.engines[rule.0].cancel(tag);
@@ -824,13 +854,21 @@ impl Fabric {
             }
         }
         for (port, tag, word) in out {
-            self.resp[port as usize].push_back((tag, word));
+            self.deliver(port, tag, word);
         }
         if let Some(tr) = self.trace.as_mut() {
             tr.record(now, self.tr_fault, "wd_escalate", 1);
         }
         self.escalated = true;
         self.last_progress = self.cycle;
+    }
+
+    /// Lands a response on its port and puts the stage that drains the
+    /// port in its pipeline's active set.
+    fn deliver(&mut self, port: u32, tag: u64, word: u64) {
+        self.resp[port as usize].push_back((tag, word));
+        let (pi, si) = self.port_owner[port as usize];
+        self.pipelines[pi].activate(si);
     }
 
     /// Assembles the campaign totals: the memory subsystem owns the
@@ -893,11 +931,12 @@ impl Fabric {
         let mut causes = [0u64; StallCause::COUNT];
         for (pi, p) in self.pipelines.iter().enumerate() {
             for (si, st) in p.stages.iter().enumerate() {
-                util.add(format!("p{pi}.s{si}:{}", st.op.mnemonic()), st.tracker);
-                busy += st.tracker.busy;
-                stall += st.tracker.stall;
-                idle += st.tracker.idle;
-                for (acc, &c) in causes.iter_mut().zip(st.tracker.stall_by.iter()) {
+                let t = st.tracker_at(self.cycle);
+                util.add(format!("p{pi}.s{si}:{}", st.op.mnemonic()), t);
+                busy += t.busy;
+                stall += t.stall;
+                idle += t.idle;
+                for (acc, &c) in causes.iter_mut().zip(t.stall_by.iter()) {
                     *acc += c;
                 }
             }
@@ -992,7 +1031,7 @@ impl Fabric {
         let mut responses = Vec::new();
         moved |= self.mem.tick(now, &mut responses);
         for (port, tag, word) in responses {
-            self.resp[port as usize].push_back((tag, word));
+            self.deliver(port, tag, word);
             progress = true;
         }
 
@@ -1038,70 +1077,68 @@ impl Fabric {
             moved |= e.tick(&bus, global_min, &mut rule_out);
         }
         for (port, tag, word) in rule_out {
-            self.resp[port as usize].push_back((tag, word));
+            self.deliver(port, tag, word);
             progress = true;
         }
 
         // 5) Extern units.
         for pi in 0..self.pipelines.len() {
-            if self.pipelines[pi].extern_unit.is_none() {
+            let Some(unit) = self.pipelines[pi].extern_unit.as_mut() else {
                 continue;
-            }
-            progress |= tick_extern_unit(
-                self.pipelines[pi].extern_unit.as_mut().expect("checked"),
+            };
+            let (unit_progress, done) = tick_extern_unit(
+                unit,
                 &self.spec,
                 &mut self.mem,
-                &mut self.resp,
                 &mut self.pending_tasks,
                 &mut self.pending_events,
             );
+            progress |= unit_progress;
+            if let Some((port, tag, word)) = done {
+                self.deliver(port, tag, word);
+            }
         }
 
         // 6) Pipelines.
-        for pi in 0..self.pipelines.len() {
-            let before = snap.as_ref().map(|_| {
-                (
-                    self.retired.iter().sum::<u64>(),
-                    self.squashes,
-                    self.requeues,
-                    self.bounces,
-                )
-            });
-            let p = &mut self.pipelines[pi];
-            let (p_progress, p_active) = tick_pipeline(
-                p,
-                &self.spec,
-                now,
-                self.cfg.rendezvous_timeout,
-                &mut self.queues,
-                &mut self.engines,
-                &mut self.mem,
-                &mut self.resp,
-                &mut self.bus_staged,
-                self.cfg.event_bus_width,
-                &mut self.live,
-                &mut self.next_seq,
-                &mut self.next_tag,
-                &mut self.retired,
-                &mut self.squashes,
-                &mut self.requeues,
-                &mut self.bounces,
-                self.cfg.record_retirements.then_some(&mut self.retire_log),
-                self.trace.as_mut(),
-            );
+        let mut sh = Shared {
+            spec: &self.spec,
+            now,
+            timeout: self.cfg.rendezvous_timeout,
+            bus_cap: self.cfg.event_bus_width,
+            dense: self.cfg.dense_tick,
+            queues: &mut self.queues,
+            engines: &mut self.engines,
+            mem: &mut self.mem,
+            resp: &mut self.resp,
+            bus_staged: &mut self.bus_staged,
+            live: &mut self.live,
+            next_seq: &mut self.next_seq,
+            next_tag: &mut self.next_tag,
+            retired: &mut self.retired,
+            squashes: &mut self.squashes,
+            requeues: &mut self.requeues,
+            bounces: &mut self.bounces,
+            retire_log: self.cfg.record_retirements.then_some(&mut self.retire_log),
+            trace: self.trace.as_mut(),
+        };
+        for p in &mut self.pipelines {
+            let set = p.set.0;
+            let before = sh
+                .trace
+                .is_some()
+                .then(|| (sh.retired[set], *sh.squashes, *sh.requeues, *sh.bounces));
+            let (p_progress, p_active) = tick_pipeline(p, &mut sh);
             progress |= p_progress;
             moved |= p_active;
-            if let Some((r0, s0, q0, b0)) = before {
-                let comp = self.pipelines[pi].comp;
-                let tr = self.trace.as_mut().expect("snap implies trace");
+            if let (Some((r0, s0, q0, b0)), Some(tr)) = (before, sh.trace.as_deref_mut()) {
                 for (ev, d) in [
-                    ("retire", self.retired.iter().sum::<u64>() - r0),
-                    ("squash", self.squashes - s0),
-                    ("requeue", self.requeues - q0),
-                    ("bounce", self.bounces - b0),
+                    ("retire", sh.retired[set] - r0),
+                    ("squash", *sh.squashes - s0),
+                    ("requeue", *sh.requeues - q0),
+                    ("bounce", *sh.bounces - b0),
                 ] {
                     if d > 0 {
-                        tr.record(now, comp, ev, d);
+                        tr.record(now, p.comp, ev, d);
                     }
                 }
             }
@@ -1141,7 +1178,26 @@ impl Fabric {
             // A fresh no-progress window earns a fresh escalation.
             self.escalated = false;
         }
+        debug_assert!(
+            self.active_sets_cover_work(),
+            "a stage holding work is missing from its active set"
+        );
         moved || progress
+    }
+
+    /// Does every stage that holds work — a latch occupant, a station
+    /// entry or a pending response — sit in its pipeline's active set?
+    fn active_sets_cover_work(&self) -> bool {
+        self.pipelines.iter().all(|p| {
+            p.stages.iter().enumerate().all(|(i, st)| {
+                p.active[i / 64] >> (i % 64) & 1 == 1
+                    || (p.latches[i].is_none()
+                        && st.station.as_ref().map_or(true, |s| s.is_empty())
+                        && st
+                            .port
+                            .map_or(true, |port| self.resp[port as usize].is_empty()))
+            })
+        })
     }
 
     /// Cumulative totals feeding the timeline: per-cycle deltas of these
@@ -1151,9 +1207,10 @@ impl Fabric {
         let mut s = TimelineSample::default();
         for p in &self.pipelines {
             for st in &p.stages {
-                s.busy += st.tracker.busy;
-                s.stall += st.tracker.stall;
-                s.idle += st.tracker.idle;
+                let t = st.tracker_at(self.cycle);
+                s.busy += t.busy;
+                s.stall += t.stall;
+                s.idle += t.idle;
             }
         }
         s.retired = self.retired.iter().sum();
@@ -1181,13 +1238,14 @@ impl Fabric {
         // The watchdog fires on the first cycle where
         // `cycle - last_progress > deadlock_cycles`.
         let mut wake = self.last_progress + self.cfg.deadlock_cycles + 1;
+        let mem_wake = self.mem.next_wake(now, wake);
         let mut consider = |c: u64| {
             let c = c.max(now + 1);
             if c < wake {
                 wake = c;
             }
         };
-        if let Some(c) = self.mem.next_wake(now) {
+        if let Some(c) = mem_wake {
             consider(c);
         }
         let fw = self.cfg.faults.fault_window;
@@ -1226,12 +1284,17 @@ impl Fabric {
     /// the per-cycle side effects the dense loop would have produced:
     /// bandwidth-credit accrual (bit-exact — see
     /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]), the per-cycle
-    /// occupancy histograms, and per-stage activity accounting. A
-    /// quiescent stage repeats the stall/idle state of the preceding
-    /// dense tick, so no trace transition fires, and counters and
-    /// gauges are level-valued, so re-publishing them would be a no-op.
+    /// occupancy histograms, and per-stage stall accounting. A quiescent
+    /// stage repeats the state of the preceding tick, so no trace
+    /// transition fires; idle stages need nothing, since idle is
+    /// derived from the clock; and counters and gauges other than
+    /// `fabric.cycles` are level-valued, so re-publishing them would be
+    /// a no-op.
     fn fast_forward(&mut self, k: u64) {
         self.cycle += k;
+        // The clock is the one counter a quiescent stretch moves; a run
+        // paused right after the jump must snapshot the moved value.
+        self.metrics.set_counter(self.mids.cycles, self.cycle);
         self.mem.fast_forward(k);
         self.mem
             .publish_skipped(&self.mids.mem, &mut self.metrics, k);
@@ -1241,20 +1304,25 @@ impl Fabric {
         for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
             e.publish_skipped(ids, &mut self.metrics, k);
         }
+        // Every waiting stage is in its pipeline's active set: only a
+        // visit that ends idle removes one.
         let mut waiting_stages = 0u64;
         let mut total_stages = 0u64;
         for p in &mut self.pipelines {
-            for (latch, st) in p.latches.iter().zip(p.stages.iter_mut()) {
-                total_stages += 1;
-                let waiting = latch.is_some()
-                    || st.station.as_ref().is_some_and(|s| !s.is_empty());
-                if waiting {
-                    // The preceding dense tick recorded a caused stall
-                    // for this stage; the quiescent cycles repeat it.
-                    st.tracker.record_stall_n(st.last_stall_cause, k);
-                    waiting_stages += 1;
-                } else {
-                    st.tracker.record_n(Activity::Idle, k);
+            total_stages += p.stages.len() as u64;
+            for (w, &word) in p.active.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let st = &mut p.stages[i];
+                    if p.latches[i].is_some() || st.station.as_ref().is_some_and(|s| !s.is_empty())
+                    {
+                        // The preceding tick recorded a caused stall for
+                        // this stage; the quiescent cycles repeat it.
+                        st.tracker.record_stall_n(st.last_stall_cause, k);
+                        waiting_stages += 1;
+                    }
                 }
             }
         }
@@ -1292,7 +1360,7 @@ impl Fabric {
                 }
             }
             for (port, tag, word) in out {
-                self.resp[port as usize].push_back((tag, word));
+                self.deliver(port, tag, word);
             }
         }
         for qi in 0..self.queues.len() {
@@ -1422,16 +1490,17 @@ impl Fabric {
     }
 }
 
-/// Ticks an extern unit; returns whether it made progress.
+/// Ticks an extern unit. Returns whether it made progress, and the
+/// `(port, tag, word)` response of a job that finished this cycle.
 fn tick_extern_unit(
     unit: &mut ExternUnit,
     spec: &Spec,
     mem: &mut MemorySubsystem,
-    resp: &mut [VecDeque<(u64, u64)>],
     pending_tasks: &mut VecDeque<(TaskSetId, IndexTuple, [u64; MAX_FIELDS])>,
     pending_events: &mut VecDeque<EventMsg>,
-) -> bool {
+) -> (bool, Option<(u32, u64, u64)>) {
     let mut progress = false;
+    let mut done = None;
     if let Some(job) = &mut unit.busy {
         if job.bytes_left > 0 {
             let granted = mem.grant_burst(job.bytes_left.min(256));
@@ -1442,7 +1511,7 @@ fn tick_extern_unit(
             progress = true;
         }
         if job.bytes_left == 0 && job.compute_left == 0 {
-            resp[job.port as usize].push_back((job.tag, job.result));
+            done = Some((job.port, job.tag, job.result));
             unit.busy = None;
             progress = true;
         }
@@ -1479,174 +1548,284 @@ fn tick_extern_unit(
             progress = true;
         }
     }
-    progress
+    (progress, done)
 }
 
-/// Ticks one pipeline, tail to head. Returns `(progress, active)`:
-/// `progress` feeds the deadlock watchdog (forward progress only),
-/// `active` is the wider event-wheel quiescence signal — any stage
-/// doing *anything* this cycle, including non-progress work like pure
-/// ALU moves, guard-fail pass-throughs, and rendezvous timeout bounces.
-#[allow(clippy::too_many_arguments)]
-fn tick_pipeline(
-    p: &mut Pipeline,
-    spec: &Spec,
+/// Fabric state that every pipeline reads or writes during one tick,
+/// borrowed once per tick from [`Fabric`].
+struct Shared<'a> {
+    spec: &'a Spec,
     now: u64,
+    /// `FabricConfig::rendezvous_timeout`.
     timeout: u64,
-    queues: &mut [TaskQueue],
-    engines: &mut [RuleEngine],
-    mem: &mut MemorySubsystem,
-    resp: &mut [VecDeque<(u64, u64)>],
-    bus_staged: &mut Vec<EventMsg>,
+    /// `FabricConfig::event_bus_width`.
     bus_cap: usize,
-    live: &mut BTreeSet<(IndexTuple, u64)>,
-    next_seq: &mut u64,
-    next_tag: &mut u64,
-    retired: &mut [u64],
-    squashes: &mut u64,
-    requeues: &mut u64,
-    bounces: &mut u64,
-    retire_log: Option<&mut Vec<(u64, usize)>>,
-    mut trace: Option<&mut EventTrace>,
-) -> (bool, bool) {
+    /// `FabricConfig::dense_tick`: visit every stage, not the active set.
+    dense: bool,
+    queues: &'a mut [TaskQueue],
+    engines: &'a mut [RuleEngine],
+    mem: &'a mut MemorySubsystem,
+    resp: &'a mut [VecDeque<(u64, u64)>],
+    bus_staged: &'a mut Vec<EventMsg>,
+    live: &'a mut BTreeSet<(IndexTuple, u64)>,
+    next_seq: &'a mut u64,
+    next_tag: &'a mut u64,
+    retired: &'a mut [u64],
+    squashes: &'a mut u64,
+    requeues: &'a mut u64,
+    bounces: &'a mut u64,
+    /// The retirement log, when `record_retirements` is on.
+    retire_log: Option<&'a mut Vec<(u64, usize)>>,
+    trace: Option<&'a mut EventTrace>,
+}
+
+impl Shared<'_> {
+    fn take_tag(&mut self) -> u64 {
+        let tag = *self.next_tag;
+        *self.next_tag += 1;
+        tag
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = *self.next_seq;
+        *self.next_seq += 1;
+        seq
+    }
+
+    /// Pushes a child of `parent` onto `ts`'s queue and makes it live;
+    /// the caller has checked `can_push`.
+    fn spawn(&mut self, ts: TaskSetId, parent: IndexTuple, fields: [u64; MAX_FIELDS]) {
+        let seq = self.take_seq();
+        let token = self.queues[ts.0]
+            .push_child(parent, seq, fields)
+            .expect("checked can_push");
+        self.live.insert((token.index, token.seq));
+    }
+
+    /// Moves a context into the next latch, or retires it when there is
+    /// none (the pipeline tail).
+    fn advance(&mut self, ctx: Ctx, next: Option<&mut Option<Ctx>>, set: TaskSetId) {
+        if let Some(slot) = next {
+            debug_assert!(slot.is_none(), "advance into occupied latch");
+            *slot = Some(ctx);
+            return;
+        }
+        self.live.remove(&(ctx.index, ctx.seq));
+        self.retired[set.0] += 1;
+        if let Some(log) = self.retire_log.as_deref_mut() {
+            log.push((self.now, set.0));
+        }
+    }
+}
+
+/// The rule engine a rendezvous waits on: the rule of the `AllocRule`
+/// op that produced its `rule_instance` tag.
+fn rendezvous_rule(spec: &Spec, set: TaskSetId, rule_instance: ValRef) -> RuleId {
+    match &spec.task_sets()[set.0].body[rule_instance.pos()] {
+        BodyOp::AllocRule { rule, .. } => *rule,
+        _ => unreachable!("validated spec"),
+    }
+}
+
+/// Bits of active-set word `w` that stand for real stages of an
+/// `n`-stage pipeline.
+fn stage_mask(n: usize, w: usize) -> u64 {
+    match n - w * 64 {
+        left if left >= 64 => u64::MAX,
+        left => (1u64 << left) - 1,
+    }
+}
+
+/// Ticks one pipeline, tail to head, visiting only the stages in its
+/// active set (every stage under `dense_tick`). Returns `(progress,
+/// active)`: `progress` feeds the deadlock watchdog (forward progress
+/// only), `active` is the wider event-wheel quiescence signal — any
+/// stage doing *anything* this cycle, including non-progress work like
+/// pure ALU moves, guard-fail pass-throughs, and rendezvous timeout
+/// bounces.
+fn tick_pipeline(p: &mut Pipeline, sh: &mut Shared<'_>) -> (bool, bool) {
     let n = p.stages.len();
     let mut progress = false;
     let mut active = false;
-    let set = p.set;
-    let retired_before: u64 = retired.iter().sum();
-
-    for i in (0..n).rev() {
-        let mut busy = false;
-        // Split the borrow: current stage vs the next latch.
-        let (latch_cur, mut latch_next) = {
-            let (a, b) = p.latches.split_at_mut(i + 1);
-            (&mut a[i], b.first_mut())
+    for w in (0..p.active.len()).rev() {
+        let mut todo = if sh.dense {
+            stage_mask(n, w)
+        } else {
+            p.active[w]
         };
-        let stage = &mut p.stages[i];
-        let next_free = latch_next.as_ref().map_or(true, |l| l.is_none());
-
-        // Phase A: drain responses into the station and retire ready
-        // entries forward.
-        if let (Some(port), Some(station)) = (stage.port, stage.station.as_mut()) {
-            while let Some((tag, word)) = resp[port as usize].pop_front() {
-                // A miss is possible: the entry may have been bounced by a
-                // timeout and its late response must be dropped.
-                let _ = station.complete(tag, word);
+        while todo != 0 {
+            let b = 63 - todo.leading_zeros() as usize;
+            todo &= !(1u64 << b);
+            let i = w * 64 + b;
+            let (state, s_progress, s_active) = tick_stage(p, i, sh);
+            progress |= s_progress;
+            active |= s_active;
+            // A context that moved into latch i + 1 wakes that stage for
+            // the next cycle (it was already visited on this one).
+            if i + 1 < n && p.latches[i + 1].is_some() {
+                p.activate(i + 1);
             }
-            // Coordinative rendezvous entries that waited too long bounce
-            // back as `false`; their lane is cancelled.
-            if let BodyOp::Rendezvous { rule_instance, .. } = &stage.op {
-                let cutoff = now.saturating_sub(timeout);
-                if let Some(tag) = station.timeout_one(cutoff) {
-                    let rule = match &spec.task_sets()[set.0].body[rule_instance.pos()] {
-                        BodyOp::AllocRule { rule, .. } => *rule,
-                        _ => unreachable!("validated spec"),
+            // A stage that ends a visit idle holds nothing, and visiting
+            // it again would change nothing until a context or a response
+            // arrives, which puts it back.
+            if state == Activity::Idle {
+                p.active[w] &= !(1u64 << b);
+            }
+            // Trace only activity *transitions* so a stage that stays
+            // busy for ten thousand cycles costs one record, not ten
+            // thousand.
+            if let Some(tr) = sh.trace.as_deref_mut() {
+                let st = &mut p.stages[i];
+                if st.last_activity != Some(state) {
+                    st.last_activity = Some(state);
+                    let ev = match state {
+                        Activity::Busy => "busy",
+                        Activity::Stall => "stall",
+                        Activity::Idle => "idle",
                     };
-                    engines[rule.0].cancel(tag);
-                    *bounces += 1;
-                    // A bounce mutates the station and the engine but is
-                    // not watchdog progress: flag it for the event wheel
-                    // so back-to-back bounces are never skipped over.
-                    active = true;
-                }
-            }
-            // One completion may advance per cycle (station output port).
-            if next_free || i + 1 == n {
-                if let Some((mut ctx, word)) = station.take_ready() {
-                    ctx.vals[i] = word;
-                    if matches!(stage.op, BodyOp::Rendezvous { .. }) && word == 0 {
-                        *squashes += 1;
-                    }
-                    busy = true;
-                    progress = true;
-                    advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                    tr.record(sh.now, st.comp, ev, 0);
                 }
             }
         }
+    }
+    // Head: pop a task into latch 0.
+    if n > 0 && p.latches[0].is_none() {
+        if let Some(token) = sh.queues[p.set.0].pop() {
+            p.latches[0] = Some(Ctx::from_token(token, n));
+            p.activate(0);
+            progress = true;
+        }
+    }
+    (progress, active || progress)
+}
 
-        // Phase B: process the latch occupant.
-        let occupied = latch_cur.is_some();
-        // Why the occupant could not leave its latch this cycle; only
-        // meaningful when phase B re-parks it (`stalled_ctx`). The
-        // default covers every pure-op and guard-fail path, which stall
-        // only because the next latch is occupied.
-        let mut stall_cause = StallCause::DownstreamFull;
-        if let Some(ctx) = latch_cur.take() {
-            let next_free = latch_next.as_ref().map_or(true, |l| l.is_none()) || i + 1 == n;
-            let guard_ok = |g: &Option<apir_core::op::ValRef>, ctx: &Ctx| {
-                g.map_or(true, |v| ctx.vals[v.pos()] != 0)
+/// Evaluates stage `i` for one cycle and records its busy or stall
+/// cycle. Returns `(state, progress, active)`, the last two as
+/// [`tick_pipeline`] defines them.
+fn tick_stage(p: &mut Pipeline, i: usize, sh: &mut Shared<'_>) -> (Activity, bool, bool) {
+    let set = p.set;
+    let mut busy = false;
+    let mut progress = false;
+    let mut bounced = false;
+    // Split the borrow: current latch vs the next one (`None` at the tail).
+    let (latch_cur, mut latch_next) = {
+        let (a, b) = p.latches.split_at_mut(i + 1);
+        (&mut a[i], b.first_mut())
+    };
+    let stage = &mut p.stages[i];
+
+    // Phase A: drain responses into the station and retire ready
+    // entries forward.
+    if let (Some(port), Some(station)) = (stage.port, stage.station.as_mut()) {
+        while let Some((tag, word)) = sh.resp[port as usize].pop_front() {
+            // A miss is possible: the entry may have been bounced by a
+            // timeout and its late response must be dropped.
+            let _ = station.complete(tag, word);
+        }
+        // Coordinative rendezvous entries that waited too long bounce
+        // back as `false`; their lane is cancelled.
+        if let BodyOp::Rendezvous { rule_instance, .. } = &stage.op {
+            let cutoff = sh.now.saturating_sub(sh.timeout);
+            if let Some(tag) = station.timeout_one(cutoff) {
+                let rule = rendezvous_rule(sh.spec, set, *rule_instance);
+                sh.engines[rule.0].cancel(tag);
+                *sh.bounces += 1;
+                // A bounce mutates the station and the engine but is
+                // not watchdog progress: flag it for the event wheel so
+                // back-to-back bounces are never skipped over.
+                bounced = true;
+            }
+        }
+        // One completion may advance per cycle (station output port).
+        if latch_next.as_ref().map_or(true, |l| l.is_none()) {
+            if let Some((mut ctx, word)) = station.take_ready() {
+                ctx.vals[i] = word;
+                if matches!(stage.op, BodyOp::Rendezvous { .. }) && word == 0 {
+                    *sh.squashes += 1;
+                }
+                busy = true;
+                progress = true;
+                sh.advance(ctx, latch_next.as_deref_mut(), set);
+            }
+        }
+    }
+
+    // Phase B: process the latch occupant.
+    // Why the occupant could not leave its latch this cycle; only
+    // meaningful when phase B re-parks it (`stalled_ctx`). The default
+    // covers every pure-op and guard-fail path, which stall only
+    // because the next latch is occupied.
+    let mut stall_cause = StallCause::DownstreamFull;
+    if let Some(ctx) = latch_cur.take() {
+        let next_free = latch_next.as_ref().map_or(true, |l| l.is_none());
+        let mut stalled_ctx: Option<Ctx> = None;
+        // Writes `$val` into this stage's value slot and advances the
+        // context, or re-parks it while the next latch is occupied.
+        macro_rules! pass {
+            ($ctx:ident, $val:expr) => {
+                if next_free {
+                    let mut $ctx = $ctx;
+                    $ctx.vals[i] = $val;
+                    busy = true;
+                    sh.advance($ctx, latch_next.as_deref_mut(), set);
+                } else {
+                    stalled_ctx = Some($ctx);
+                }
             };
-            let mut stalled_ctx: Option<Ctx> = None;
+        }
+        // Gathers operand values into a fixed-width field array.
+        let gather = |vs: &[ValRef], ctx: &Ctx| {
+            let mut f = [0u64; MAX_FIELDS];
+            for (k, v) in vs.iter().enumerate() {
+                f[k] = ctx.vals[v.pos()];
+            }
+            f
+        };
+        if stage.op.guard().is_some_and(|g| ctx.vals[g.pos()] == 0) {
+            // A failed guard skips the op's effect; the token carries 0.
+            pass!(ctx, 0);
+        } else {
             match &stage.op {
-                BodyOp::Field(f) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = ctx.fields[*f as usize];
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::IndexComp(l) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = ctx.index.component(*l as usize);
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::Const(c) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = *c;
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::Alu(op, a, b) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = op.eval(ctx.vals[a.pos()], ctx.vals[b.pos()]);
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
+                BodyOp::Field(f) => pass!(ctx, ctx.fields[*f as usize]),
+                BodyOp::IndexComp(l) => pass!(ctx, ctx.index.component(*l as usize)),
+                BodyOp::Const(c) => pass!(ctx, *c),
+                BodyOp::Alu(op, a, b) => pass!(ctx, op.eval(ctx.vals[a.pos()], ctx.vals[b.pos()])),
                 BodyOp::Select {
                     cond,
                     if_true,
                     if_false,
                 } => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = if ctx.vals[cond.pos()] != 0 {
-                            ctx.vals[if_true.pos()]
-                        } else {
-                            ctx.vals[if_false.pos()]
-                        };
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                    let v = if ctx.vals[cond.pos()] != 0 {
+                        ctx.vals[if_true.pos()]
                     } else {
-                        stalled_ctx = Some(ctx);
-                    }
+                        ctx.vals[if_false.pos()]
+                    };
+                    pass!(ctx, v);
                 }
-                BodyOp::Load { region, addr } => {
-                    let station = stage.station.as_mut().expect("load has station");
-                    if station.can_insert() && mem.requests.can_push() {
-                        let tag = *next_tag;
-                        *next_tag += 1;
-                        mem.requests.push(MemReq {
-                            port: stage.port.expect("load has port"),
+                BodyOp::Load { region, addr } | BodyOp::Store { region, addr, .. } => {
+                    let station = stage.station.as_mut().expect("memory op has station");
+                    if station.can_insert() && sh.mem.requests.can_push() {
+                        let write = match &stage.op {
+                            BodyOp::Store { value, kind, .. } => {
+                                let wk = match kind {
+                                    StoreKind::Plain => WriteKind::Plain,
+                                    StoreKind::Min => WriteKind::Min,
+                                    StoreKind::Cas { expected } => {
+                                        WriteKind::Cas(ctx.vals[expected.pos()])
+                                    }
+                                    StoreKind::Add => WriteKind::Add,
+                                };
+                                Some((wk, ctx.vals[value.pos()]))
+                            }
+                            _ => None,
+                        };
+                        let tag = sh.take_tag();
+                        sh.mem.requests.push(MemReq {
+                            port: stage.port.expect("memory op has port"),
                             tag,
                             region: *region,
                             offset: ctx.vals[addr.pos()],
-                            write: None,
+                            write,
                         });
                         station.insert(tag, ctx);
                         busy = true;
@@ -1660,85 +1839,13 @@ fn tick_pipeline(
                         stalled_ctx = Some(ctx);
                     }
                 }
-                BodyOp::Store {
-                    region,
-                    addr,
-                    value,
-                    kind,
-                    guard,
-                } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else {
-                        let station = stage.station.as_mut().expect("store has station");
-                        if station.can_insert() && mem.requests.can_push() {
-                            let wk = match kind {
-                                StoreKind::Plain => WriteKind::Plain,
-                                StoreKind::Min => WriteKind::Min,
-                                StoreKind::Cas { expected } => {
-                                    WriteKind::Cas(ctx.vals[expected.pos()])
-                                }
-                                StoreKind::Add => WriteKind::Add,
-                            };
-                            let tag = *next_tag;
-                            *next_tag += 1;
-                            mem.requests.push(MemReq {
-                                port: stage.port.expect("store has port"),
-                                tag,
-                                region: *region,
-                                offset: ctx.vals[addr.pos()],
-                                write: Some((wk, ctx.vals[value.pos()])),
-                            });
-                            station.insert(tag, ctx);
-                            busy = true;
-                            progress = true;
-                        } else {
-                            stall_cause = if station.can_insert() {
-                                StallCause::Bandwidth
-                            } else {
-                                StallCause::MshrFull
-                            };
-                            stalled_ctx = Some(ctx);
-                        }
-                    }
-                }
                 BodyOp::Enqueue {
-                    task_set,
-                    fields,
-                    guard,
+                    task_set, fields, ..
                 } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free && queues[task_set.0].can_push() {
-                        let mut f = [0u64; MAX_FIELDS];
-                        for (k, v) in fields.iter().enumerate() {
-                            f[k] = ctx.vals[v.pos()];
-                        }
-                        let seq = *next_seq;
-                        *next_seq += 1;
-                        let token = queues[task_set.0]
-                            .push_child(ctx.index, seq, f)
-                            .expect("checked can_push");
-                        live.insert((token.index, token.seq));
-                        let mut ctx = ctx;
-                        ctx.vals[i] = 1;
-                        busy = true;
+                    if next_free && sh.queues[task_set.0].can_push() {
+                        sh.spawn(*task_set, ctx.index, gather(fields, &ctx));
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        pass!(ctx, 1);
                     } else {
                         stall_cause = if next_free {
                             StallCause::QueueFull
@@ -1753,45 +1860,28 @@ fn tick_pipeline(
                     lo,
                     hi,
                     extra,
-                    guard,
+                    ..
                 } => {
                     let lo_v = ctx.vals[lo.pos()];
                     let hi_v = ctx.vals[hi.pos()];
-                    if !guard_ok(guard, &ctx) || lo_v >= hi_v {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            stage.expand_pos = None;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
+                    if lo_v >= hi_v {
+                        stage.expand_pos = None;
+                        pass!(ctx, 0);
                     } else {
                         let pos = stage.expand_pos.get_or_insert(lo_v);
                         // Emit one child per cycle while space is available.
-                        if *pos < hi_v && queues[task_set.0].can_push() {
+                        if *pos < hi_v && sh.queues[task_set.0].can_push() {
                             let mut f = [0u64; MAX_FIELDS];
                             f[0] = *pos;
-                            for (k, v) in extra.iter().enumerate() {
-                                f[k + 1] = ctx.vals[v.pos()];
-                            }
-                            let seq = *next_seq;
-                            *next_seq += 1;
-                            let token = queues[task_set.0]
-                                .push_child(ctx.index, seq, f)
-                                .expect("checked can_push");
-                            live.insert((token.index, token.seq));
+                            f[1..].copy_from_slice(&gather(extra, &ctx)[..MAX_FIELDS - 1]);
                             *pos += 1;
+                            sh.spawn(*task_set, ctx.index, f);
                             busy = true;
                             progress = true;
                         }
                         if stage.expand_pos == Some(hi_v) && next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = hi_v - lo_v;
                             stage.expand_pos = None;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                            pass!(ctx, hi_v - lo_v);
                         } else {
                             stall_cause = if stage.expand_pos == Some(hi_v) {
                                 StallCause::DownstreamFull
@@ -1802,37 +1892,19 @@ fn tick_pipeline(
                         }
                     }
                 }
-                BodyOp::Requeue { fields, guard } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free && queues[set.0].can_push_reserved() {
-                        let mut f = [0u64; MAX_FIELDS];
-                        for (k, v) in fields.iter().enumerate() {
-                            f[k] = ctx.vals[v.pos()];
-                        }
-                        let seq = *next_seq;
-                        *next_seq += 1;
+                BodyOp::Requeue { fields, .. } => {
+                    if next_free && sh.queues[set.0].can_push_reserved() {
                         let token = TaskToken {
                             index: ctx.index,
-                            seq,
-                            fields: f,
+                            seq: sh.take_seq(),
+                            fields: gather(fields, &ctx),
                         };
-                        let pushed = queues[set.0].push_fixed(token);
+                        let pushed = sh.queues[set.0].push_fixed(token);
                         debug_assert!(pushed, "checked can_push");
-                        live.insert((token.index, token.seq));
-                        *requeues += 1;
-                        let mut ctx = ctx;
-                        ctx.vals[i] = 1;
-                        busy = true;
+                        sh.live.insert((token.index, token.seq));
+                        *sh.requeues += 1;
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        pass!(ctx, 1);
                     } else {
                         stall_cause = if next_free {
                             StallCause::ReserveFull
@@ -1842,72 +1914,36 @@ fn tick_pipeline(
                         stalled_ctx = Some(ctx);
                     }
                 }
-                BodyOp::AllocRule { rule, params, guard } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free {
-                        let mut ps = [0u64; MAX_FIELDS];
-                        for (k, v) in params.iter().enumerate() {
-                            ps[k] = ctx.vals[v.pos()];
-                        }
-                        let tag = *next_tag;
-                        *next_tag += 1;
+                BodyOp::AllocRule { rule, params, .. } => {
+                    if next_free {
+                        let tag = sh.take_tag();
                         // Granted or nacked, the token proceeds: a nack
                         // buffered `false` for this tag, steering the
                         // task into its retry path at the rendezvous.
-                        let _ = engines[rule.0].alloc(ctx.index, ctx.seq, ps, tag);
-                        let mut ctx = ctx;
-                        ctx.vals[i] = tag;
-                        busy = true;
+                        let _ =
+                            sh.engines[rule.0].alloc(ctx.index, ctx.seq, gather(params, &ctx), tag);
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        pass!(ctx, tag);
                     } else {
                         stalled_ctx = Some(ctx);
                     }
                 }
-                BodyOp::Rendezvous {
-                    rule_instance,
-                    guard,
-                } => {
-                    let rule = match &spec.task_sets()[set.0].body[rule_instance.pos()] {
-                        BodyOp::AllocRule { rule, .. } => *rule,
-                        _ => unreachable!("validated spec"),
-                    };
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                        // fallthrough handled; skip station path
-                    } else {
+                BodyOp::Rendezvous { rule_instance, .. } => {
                     let station = stage.station.as_mut().expect("rendezvous has station");
-                    let port = stage.port.expect("rendezvous has port");
                     if station.can_insert() && next_free {
                         let tag = ctx.vals[rule_instance.pos()];
-                        match engines[rule.0].claim(tag, port) {
+                        let rule = rendezvous_rule(sh.spec, set, *rule_instance);
+                        let port = stage.port.expect("rendezvous has port");
+                        match sh.engines[rule.0].claim(tag, port) {
                             ClaimOutcome::Ready(v) => {
-                                let mut ctx = ctx;
-                                ctx.vals[i] = v as u64;
                                 if !v {
-                                    *squashes += 1;
+                                    *sh.squashes += 1;
                                 }
-                                busy = true;
                                 progress = true;
-                                advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                                pass!(ctx, v as u64);
                             }
                             ClaimOutcome::Wait => {
-                                station.insert_at(tag, ctx, now);
+                                station.insert_at(tag, ctx, sh.now);
                                 busy = true;
                                 progress = true;
                             }
@@ -1920,38 +1956,17 @@ fn tick_pipeline(
                         };
                         stalled_ctx = Some(ctx);
                     }
-                    }
                 }
-                BodyOp::Emit {
-                    label,
-                    payload,
-                    guard,
-                } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free && bus_staged.len() < bus_cap {
-                        let mut pl = [0u64; MAX_FIELDS];
-                        for (k, v) in payload.iter().enumerate() {
-                            pl[k] = ctx.vals[v.pos()];
-                        }
-                        bus_staged.push(EventMsg {
+                BodyOp::Emit { label, payload, .. } => {
+                    if next_free && sh.bus_staged.len() < sh.bus_cap {
+                        sh.bus_staged.push(EventMsg {
                             label: *label,
-                            payload: pl,
+                            payload: gather(payload, &ctx),
                             len: payload.len() as u8,
                             index: ctx.index,
                         });
-                        let mut ctx = ctx;
-                        ctx.vals[i] = 1;
-                        busy = true;
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        pass!(ctx, 1);
                     } else {
                         stall_cause = if next_free {
                             StallCause::BusFull
@@ -1961,112 +1976,60 @@ fn tick_pipeline(
                         stalled_ctx = Some(ctx);
                     }
                 }
-                BodyOp::Extern { ext, args, guard } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
+                BodyOp::Extern { ext, args, .. } => {
+                    let station = stage.station.as_mut().expect("extern has station");
+                    let unit = p.extern_unit.as_mut().expect("extern has unit");
+                    if station.can_insert() && unit.queue.can_push() {
+                        let tag = sh.take_tag();
+                        unit.queue.push(ExternReq {
+                            tag,
+                            port: stage.port.expect("extern has port"),
+                            ext: ext.0,
+                            args: gather(args, &ctx),
+                            nargs: args.len() as u8,
+                            index: ctx.index,
+                        });
+                        station.insert(tag, ctx);
+                        busy = true;
+                        progress = true;
                     } else {
-                        let station = stage.station.as_mut().expect("extern has station");
-                        let unit = p.extern_unit.as_mut().expect("extern has unit");
-                        if station.can_insert() && unit.queue.can_push() {
-                            let mut a = [0u64; MAX_FIELDS];
-                            for (k, v) in args.iter().enumerate() {
-                                a[k] = ctx.vals[v.pos()];
-                            }
-                            let tag = *next_tag;
-                            *next_tag += 1;
-                            unit.queue.push(ExternReq {
-                                tag,
-                                port: stage.port.expect("extern has port"),
-                                ext: ext.0,
-                                args: a,
-                                nargs: args.len() as u8,
-                                index: ctx.index,
-                            });
-                            station.insert(tag, ctx);
-                            busy = true;
-                            progress = true;
+                        stall_cause = if station.can_insert() {
+                            StallCause::DownstreamFull
                         } else {
-                            stall_cause = if station.can_insert() {
-                                StallCause::DownstreamFull
-                            } else {
-                                StallCause::MshrFull
-                            };
-                            stalled_ctx = Some(ctx);
-                        }
+                            StallCause::MshrFull
+                        };
+                        stalled_ctx = Some(ctx);
                     }
                 }
             }
-            *latch_cur = stalled_ctx;
         }
+        *latch_cur = stalled_ctx;
+    }
 
-        active |= busy;
-        // Activity accounting.
-        let waiting_latch = p.latches[i].is_some();
-        let waiting_station = p.stages[i]
-            .station
-            .as_ref()
-            .is_some_and(|s| !s.is_empty());
-        let state = if busy {
-            Activity::Busy
-        } else if waiting_latch || waiting_station {
-            Activity::Stall
+    // Activity accounting. Idle cycles are not counted: they are derived
+    // (see `Stage::tracker_at`).
+    let waiting_latch = latch_cur.is_some();
+    let state = if busy {
+        stage.tracker.record(Activity::Busy);
+        Activity::Busy
+    } else if waiting_latch || stage.station.as_ref().is_some_and(|s| !s.is_empty()) {
+        // A re-parked latch carries the cause phase B just computed; a
+        // station-only stall is waiting on an outstanding completion
+        // (rendezvous verdict or memory/extern response).
+        let cause = if waiting_latch {
+            stall_cause
+        } else if matches!(stage.op, BodyOp::Rendezvous { .. }) {
+            StallCause::RendezvousParked
         } else {
-            Activity::Idle
+            StallCause::MissOutstanding
         };
-        if state == Activity::Stall {
-            // A re-parked latch carries the cause phase B just computed;
-            // a station-only stall is waiting on an outstanding
-            // completion (rendezvous verdict or memory/extern response).
-            let cause = if waiting_latch {
-                stall_cause
-            } else if matches!(p.stages[i].op, BodyOp::Rendezvous { .. }) {
-                StallCause::RendezvousParked
-            } else {
-                StallCause::MissOutstanding
-            };
-            p.stages[i].tracker.record_stall(cause);
-            p.stages[i].last_stall_cause = cause;
-        } else {
-            p.stages[i].tracker.record(state);
-        }
-        // Trace only activity *transitions* so a stage that stays busy for
-        // ten thousand cycles costs one record, not ten thousand.
-        if let Some(tr) = trace.as_deref_mut() {
-            let st = &mut p.stages[i];
-            if st.last_activity != Some(state) {
-                st.last_activity = Some(state);
-                let ev = match state {
-                    Activity::Busy => "busy",
-                    Activity::Stall => "stall",
-                    Activity::Idle => "idle",
-                };
-                tr.record(now, st.comp, ev, 0);
-            }
-        }
-        let _ = occupied;
-    }
-
-    if let Some(log) = retire_log {
-        let delta = retired.iter().sum::<u64>() - retired_before;
-        for _ in 0..delta {
-            log.push((now, set.0));
-        }
-    }
-    // Head: pop a task into latch 0.
-    if n > 0 && p.latches[0].is_none() {
-        if let Some(token) = queues[set.0].pop() {
-            p.latches[0] = Some(Ctx::from_token(token, n));
-            progress = true;
-        }
-    }
-    (progress, active || progress)
+        stage.tracker.record_stall(cause);
+        stage.last_stall_cause = cause;
+        Activity::Stall
+    } else {
+        Activity::Idle
+    };
+    (state, progress, busy || bounced)
 }
 
 impl Fabric {
@@ -2170,7 +2133,7 @@ impl Fabric {
             ("mem", self.mem.snapshot_json()),
             (
                 "pipelines",
-                Json::arr(self.pipelines.iter().map(pipeline_json)),
+                Json::arr(self.pipelines.iter().map(|p| pipeline_json(p, self.cycle))),
             ),
             ("metrics", metrics_json(&self.metrics.snapshot())),
             ("trace", self.trace.as_ref().map_or(Json::Null, trace_json)),
@@ -2369,8 +2332,8 @@ impl Fabric {
                 self.pipelines.len()
             ));
         }
-        for (p, pj) in self.pipelines.iter_mut().zip(pipelines.iter()) {
-            restore_pipeline(p, pj)?;
+        for (pi, (p, pj)) in self.pipelines.iter_mut().zip(pipelines.iter()).enumerate() {
+            restore_pipeline(p, pj, pi, self.cycle)?;
         }
 
         let entries = metrics_entries_from(snapshot::field(doc, "metrics")?)?;
@@ -2486,6 +2449,27 @@ fn tracker_from(j: &Json) -> Result<ActivityTracker, String> {
     })
 }
 
+/// Checks a restored tracker against the derived-idle invariant at
+/// `cycle` and returns it in live form, with `idle` cleared.
+fn live_tracker(t: ActivityTracker, cycle: u64) -> Result<ActivityTracker, String> {
+    let (busy, stall) = (t.busy, t.stall);
+    let active = busy
+        .checked_add(stall)
+        .filter(|&a| a <= cycle)
+        .ok_or_else(|| format!("tracker busy {busy} + stall {stall} exceeds cycle {cycle}"))?;
+    if t.idle != cycle - active {
+        return Err(format!(
+            "tracker idle {} is not cycle {cycle} - busy {busy} - stall {stall}",
+            t.idle
+        ));
+    }
+    let caused = t.stall_by.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+    if caused != Some(stall) {
+        return Err(format!("tracker stall causes do not sum to stall {stall}"));
+    }
+    Ok(ActivityTracker { idle: 0, ..t })
+}
+
 /// Stable wire code of an activity state.
 fn activity_code(a: Activity) -> u64 {
     match a {
@@ -2528,11 +2512,13 @@ fn station_json(st: &OutOfOrderStation<Ctx>) -> Json {
 }
 
 /// Decodes a reservation station; `body_len` is the SSA width of the
-/// parked contexts.
+/// parked contexts and `cycle` the snapshot cycle, which no entry's
+/// insertion cycle may exceed.
 fn station_from(
     j: &Json,
     cap: usize,
     body_len: usize,
+    cycle: u64,
 ) -> Result<OutOfOrderStation<Ctx>, String> {
     let mut entries = Vec::new();
     for e in snapshot::need_arr(j, "station")? {
@@ -2550,17 +2536,19 @@ fn station_from(
             snapshot::need_u64(born, "station born")?,
         ));
     }
-    if entries.len() > cap {
+    if let Some(e) = entries.iter().find(|e| e.4 > cycle) {
         return Err(format!(
-            "snapshot: {} station entries exceed window {cap}",
-            entries.len()
+            "snapshot: station entry inserted at cycle {}, after snapshot cycle {cycle}",
+            e.4
         ));
     }
-    Ok(OutOfOrderStation::from_parts(cap, entries))
+    OutOfOrderStation::from_parts(cap, entries).map_err(|e| format!("snapshot: {e}"))
 }
 
-/// Encodes one pipeline's latches, stage state, and extern unit.
-fn pipeline_json(p: &Pipeline) -> Json {
+/// Encodes one pipeline's latches, stage state, and extern unit at
+/// `cycle`. The active set is not encoded: restore puts every stage in
+/// it.
+fn pipeline_json(p: &Pipeline, cycle: u64) -> Json {
     Json::obj([
         (
             "latches",
@@ -2574,7 +2562,7 @@ fn pipeline_json(p: &Pipeline) -> Json {
                 Json::obj([
                     ("st", st.station.as_ref().map_or(Json::Null, station_json)),
                     ("ep", st.expand_pos.map_or(Json::Null, Json::U64)),
-                    ("tk", tracker_json(&st.tracker)),
+                    ("tk", tracker_json(&st.tracker_at(cycle))),
                     (
                         "la",
                         st.last_activity
@@ -2591,8 +2579,8 @@ fn pipeline_json(p: &Pipeline) -> Json {
     ])
 }
 
-/// Restores one pipeline from its snapshot member.
-fn restore_pipeline(p: &mut Pipeline, pj: &Json) -> Result<(), String> {
+/// Restores pipeline `pi` from its snapshot member taken at `cycle`.
+fn restore_pipeline(p: &mut Pipeline, pj: &Json, pi: usize, cycle: u64) -> Result<(), String> {
     let body_len = p.stages.len();
     let latches = snapshot::arr_field(pj, "latches")?;
     if latches.len() != body_len {
@@ -2614,12 +2602,12 @@ fn restore_pipeline(p: &mut Pipeline, pj: &Json) -> Result<(), String> {
             stages.len()
         ));
     }
-    for (st, sj) in p.stages.iter_mut().zip(stages.iter()) {
+    for (si, (st, sj)) in p.stages.iter_mut().zip(stages.iter()).enumerate() {
         let station_j = snapshot::field(sj, "st")?;
         match (&mut st.station, station_j) {
             (None, Json::Null) => {}
             (Some(station), Json::Arr(_)) => {
-                *station = station_from(station_j, station.capacity(), body_len)?;
+                *station = station_from(station_j, station.capacity(), body_len, cycle)?;
             }
             _ => return Err("snapshot: station presence disagrees with stage op".into()),
         }
@@ -2627,7 +2615,8 @@ fn restore_pipeline(p: &mut Pipeline, pj: &Json) -> Result<(), String> {
             Json::Null => None,
             v => Some(snapshot::need_u64(v, "expand_pos")?),
         };
-        st.tracker = tracker_from(snapshot::field(sj, "tk")?)?;
+        st.tracker = live_tracker(tracker_from(snapshot::field(sj, "tk")?)?, cycle)
+            .map_err(|e| format!("snapshot: pipeline {pi} stage {si}: {e}"))?;
         st.last_activity = match snapshot::field(sj, "la")? {
             Json::Null => None,
             v => Some(activity_from(snapshot::need_u64(v, "last_activity")?)?),
@@ -2635,6 +2624,7 @@ fn restore_pipeline(p: &mut Pipeline, pj: &Json) -> Result<(), String> {
         st.last_stall_cause =
             stall_cause_from(snapshot::u64_field(sj, "lsc")?)?;
     }
+    p.activate_all();
     let ext_j = snapshot::field(pj, "ext")?;
     match (&mut p.extern_unit, ext_j) {
         (None, Json::Null) => Ok(()),
@@ -2911,24 +2901,4 @@ fn timeline_from(j: &Json, window: u64, capacity: usize) -> Result<TimelineRecor
         ring,
         snapshot::u64_field(j, "dropped")?,
     ))
-}
-
-/// Moves a context to the next latch, or retires it at the pipeline tail.
-fn advance(
-    ctx: Ctx,
-    i: usize,
-    n: usize,
-    latch_next: Option<&mut Option<Ctx>>,
-    live: &mut BTreeSet<(IndexTuple, u64)>,
-    retired: &mut [u64],
-    set: TaskSetId,
-) {
-    if i + 1 == n {
-        live.remove(&(ctx.index, ctx.seq));
-        retired[set.0] += 1;
-    } else {
-        let slot = latch_next.expect("next latch exists");
-        debug_assert!(slot.is_none(), "advance into occupied latch");
-        *slot = Some(ctx);
-    }
 }

@@ -169,15 +169,23 @@ pub struct FabricConfig {
     /// fault stream with the rollback epoch, and resumes; only when all
     /// rollbacks are spent does the run abort.
     pub max_rollbacks: u32,
-    /// Force the dense per-cycle scheduler instead of the event wheel.
+    /// Force the dense per-cycle scheduler instead of the event wheel,
+    /// and visit every pipeline stage on every cycle instead of each
+    /// pipeline's active set.
     ///
     /// By default the fabric skips quiescent stretches (no module made
     /// progress and every latency source's next wake cycle is known) by
-    /// jumping straight to the earliest pending wake. The skip is
-    /// semantically invisible — every counter, histogram, fault draw,
-    /// and retirement is byte-identical to the dense loop; only wall
-    /// clock changes. This flag keeps the dense loop available as a
-    /// differential oracle (`tests/scheduler_equiv.rs`, `verify.sh`).
+    /// jumping straight to the earliest pending wake, and within a tick
+    /// visits only the stages that hold work: a stage joins its
+    /// pipeline's active set when a context or a response arrives and
+    /// leaves after a visit that ends idle. Idle stage cycles are never
+    /// counted; they are derived as `cycle − busy − stall` when a
+    /// report, snapshot or timeline reads them, so a skipped stage costs
+    /// nothing. Both skips are semantically invisible — every counter,
+    /// histogram, fault draw, trace record and retirement is
+    /// byte-identical to the dense loop; only wall clock changes. This
+    /// flag keeps the dense loop available as a differential oracle
+    /// (`tests/scheduler_equiv.rs`, `verify.sh`).
     pub dense_tick: bool,
 }
 

@@ -557,12 +557,14 @@ impl MemorySubsystem {
     /// bandwidth meter first covers the blocked admission at the front of
     /// the wait queue. `None` when nothing is pending (idle, or blocked
     /// on conditions only the rest of the fabric can change, like an MSHR
-    /// freeing — which the miss-pipe front already covers).
+    /// freeing — which the miss-pipe front already covers). The
+    /// bandwidth replay looks no further than `horizon`, a wake the
+    /// caller already has; a later admission is reported as none.
     ///
     /// May undershoot (waking early only costs a dense cycle); it never
     /// overshoots, so the dense loop and the event wheel admit and
     /// complete every transfer on identical cycles.
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
+    pub fn next_wake(&self, now: Cycle, horizon: Cycle) -> Option<Cycle> {
         let mut wake: Option<Cycle> = None;
         let mut consider = |c: Cycle| match wake {
             Some(w) if w <= c => {}
@@ -592,7 +594,7 @@ impl MemorySubsystem {
                 } else {
                     self.cfg.line_bytes as u64
                 };
-                if let Some(k) = self.qpi.cycles_until(bytes) {
+                if let Some(k) = self.qpi.cycles_until(bytes, horizon.saturating_sub(now)) {
                     consider(now + k.max(1));
                 }
             }

@@ -7,7 +7,20 @@
 //! `apir.fabric.snapshot.v1` JSON document. The contract is *restore
 //! equivalence*: restoring a snapshot and running to completion produces
 //! a report byte-identical to the uninterrupted run, from any snapshot
-//! cycle, under either scheduler.
+//! cycle, under either scheduler — with one exception. With rollback
+//! recovery armed (`max_rollbacks > 0`), the in-memory checkpoint is not
+//! part of the snapshot: a restored run takes its first checkpoint at
+//! the restore cycle, so its checkpoint schedule, and with it the
+//! rewind target of any later rollback, matches the uninterrupted run's
+//! only when the snapshot was taken on a cycle at which that run took a
+//! checkpoint. Under rollback recovery, restore equivalence holds on
+//! the checkpoint schedule, not from every snapshot cycle.
+//!
+//! Pipeline active sets are not part of the snapshot either: restore
+//! puts every stage in its set, exactly as [`crate::Fabric::new`] does,
+//! and stage idle cycles are derived from the cycle count (see
+//! `FabricConfig::dense_tick`), so a restored tracker must satisfy
+//! `idle == cycle − busy − stall`.
 //!
 //! Structure vs. values: everything derivable from the `(spec, input,
 //! config)` triple — stage wiring, port assignment, metric registration,

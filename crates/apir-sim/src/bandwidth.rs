@@ -88,13 +88,14 @@ impl BandwidthMeter {
     }
 
     /// How many further ticks until `bytes` of credit are available, by
-    /// exact replay of the accrual sequence. `Some(0)` means
-    /// [`BandwidthMeter::try_consume`] would already succeed; `None`
-    /// means the credit saturates below `bytes` (the transfer can never
-    /// start on refills alone). Never underestimates readiness, so an
+    /// exact replay of the accrual sequence, looking at most `limit`
+    /// ticks ahead. `Some(0)` means [`BandwidthMeter::try_consume`] would
+    /// already succeed; `None` means the credit saturates below `bytes`
+    /// (the transfer can never start on refills alone) or needs more
+    /// than `limit` ticks. Never underestimates readiness, so an
     /// event-wheel wake at `now + k` lands exactly when the dense loop
     /// would first admit the transfer.
-    pub fn cycles_until(&self, bytes: u64) -> Option<u64> {
+    pub fn cycles_until(&self, bytes: u64, limit: u64) -> Option<u64> {
         let need = bytes as f64;
         if self.credit >= need {
             return Some(0);
@@ -103,7 +104,7 @@ impl BandwidthMeter {
         let mut k = 0u64;
         loop {
             let next = (credit + self.bytes_per_cycle).min(self.burst_cap);
-            if next == credit {
+            if next == credit || k == limit {
                 return None;
             }
             credit = next;
@@ -220,8 +221,13 @@ mod tests {
         let mut m = BandwidthMeter::from_gbps(1.0, 300).with_min_burst(64);
         m.tick();
         assert!(!m.try_consume(64));
-        let k = m.cycles_until(64).expect("64 fits under the burst cap");
+        let k = m
+            .cycles_until(64, u64::MAX)
+            .expect("64 fits under the burst cap");
         assert!(k > 0);
+        // The look-ahead bound is inclusive.
+        assert_eq!(m.cycles_until(64, k), Some(k));
+        assert_eq!(m.cycles_until(64, k - 1), None);
         let mut probe = m.clone();
         for i in 0..k {
             assert!(!probe.try_consume(64), "ready {i} cycles early");
@@ -231,9 +237,9 @@ mod tests {
         // Already-available credit reports zero.
         let mut full = BandwidthMeter::new(10.0);
         full.tick();
-        assert_eq!(full.cycles_until(5), Some(0));
+        assert_eq!(full.cycles_until(5, 0), Some(0));
         // Saturating below the request reports None.
-        assert_eq!(full.cycles_until(1_000_000), None);
+        assert_eq!(full.cycles_until(1_000_000, u64::MAX), None);
     }
 
     #[test]

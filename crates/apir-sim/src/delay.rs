@@ -107,11 +107,20 @@ impl<T> DelayLine<T> {
 /// rendezvous points ("out-of-order operations incur resource overheads on
 /// FPGAs since they require large matching logics"), which is why its
 /// `capacity` is small and everything else stays in-order.
+///
+/// Entries are kept in insertion-cycle order: inserts append with a
+/// non-decreasing stamp, [`OutOfOrderStation::take_ready`] removes in
+/// place, and [`OutOfOrderStation::from_parts`] rejects out-of-order
+/// slots. The first waiting entry is therefore the oldest waiting one,
+/// so the timeout scans stop there instead of taking a minimum.
 #[derive(Clone, Debug)]
 pub struct OutOfOrderStation<T> {
     cap: usize,
     // (tag, payload, ready, completion word, insertion cycle)
     entries: Vec<(u64, T, bool, u64, Cycle)>,
+    /// Entries marked ready, so a station waiting on every entry answers
+    /// [`OutOfOrderStation::take_ready`] without a scan.
+    ready: usize,
 }
 
 impl<T> OutOfOrderStation<T> {
@@ -125,6 +134,7 @@ impl<T> OutOfOrderStation<T> {
         OutOfOrderStation {
             cap,
             entries: Vec::with_capacity(cap),
+            ready: 0,
         }
     }
 
@@ -163,8 +173,13 @@ impl<T> OutOfOrderStation<T> {
     /// # Panics
     ///
     /// Panics when full; check [`OutOfOrderStation::can_insert`] first.
+    /// `now` must not be older than the newest entry's stamp.
     pub fn insert_at(&mut self, tag: u64, payload: T, now: Cycle) {
         assert!(self.can_insert(), "insert into full station");
+        debug_assert!(
+            self.entries.last().map_or(true, |e| e.4 <= now),
+            "station inserts must not go back in time"
+        );
         self.entries.push((tag, payload, false, 0, now));
     }
 
@@ -173,13 +188,13 @@ impl<T> OutOfOrderStation<T> {
     /// caller can cancel whatever it was waiting on). At most one per
     /// call — one bounce port per cycle.
     pub fn timeout_one(&mut self, cutoff: Cycle) -> Option<u64> {
-        let e = self
-            .entries
-            .iter_mut()
-            .filter(|e| !e.2 && e.4 < cutoff)
-            .min_by_key(|e| e.4)?;
+        let e = self.entries.iter_mut().find(|e| !e.2)?;
+        if e.4 >= cutoff {
+            return None;
+        }
         e.2 = true;
         e.3 = 0;
+        self.ready += 1;
         Some(e.0)
     }
 
@@ -189,7 +204,7 @@ impl<T> OutOfOrderStation<T> {
     /// `oldest_waiting_insert + timeout + 1` — the event-wheel wake time
     /// for a station whose occupants are all waiting.
     pub fn oldest_waiting_insert(&self) -> Option<Cycle> {
-        self.entries.iter().filter(|e| !e.2).map(|e| e.4).min()
+        self.entries.iter().find(|e| !e.2).map(|e| e.4)
     }
 
     /// Marks the entry with `tag` complete, attaching a completion word
@@ -200,6 +215,7 @@ impl<T> OutOfOrderStation<T> {
             if e.0 == tag && !e.2 {
                 e.2 = true;
                 e.3 = word;
+                self.ready += 1;
                 return true;
             }
         }
@@ -208,7 +224,11 @@ impl<T> OutOfOrderStation<T> {
 
     /// Removes and returns the oldest ready entry as `(payload, word)`.
     pub fn take_ready(&mut self) -> Option<(T, u64)> {
+        if self.ready == 0 {
+            return None;
+        }
         let idx = self.entries.iter().position(|e| e.2)?;
+        self.ready -= 1;
         let (_, payload, _, word, _) = self.entries.remove(idx);
         Some((payload, word))
     }
@@ -237,17 +257,36 @@ impl<T> OutOfOrderStation<T> {
     /// Rebuilds a station from checkpointed entries (slot order matters:
     /// [`OutOfOrderStation::take_ready`] removes the oldest ready slot).
     ///
+    /// # Errors
+    ///
+    /// Entries that exceed `cap`, or whose insertion cycles decrease
+    /// from one slot to the next.
+    ///
     /// # Panics
     ///
-    /// Panics if `cap` is zero or the entries exceed it.
+    /// Panics if `cap` is zero.
     pub fn from_parts(
         cap: usize,
         entries: impl IntoIterator<Item = (u64, T, bool, u64, Cycle)>,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let mut s = OutOfOrderStation::new(cap);
         s.entries.extend(entries);
-        assert!(s.entries.len() <= cap, "restored station exceeds capacity");
-        s
+        s.ready = s.entries.iter().filter(|e| e.2).count();
+        if s.entries.len() > cap {
+            return Err(format!(
+                "{} station entries exceed window {cap}",
+                s.entries.len()
+            ));
+        }
+        if let Some(k) = s.entries.windows(2).position(|w| w[0].4 > w[1].4) {
+            return Err(format!(
+                "station slot {} was inserted at cycle {}, before slot {k} (cycle {})",
+                k + 1,
+                s.entries[k + 1].4,
+                s.entries[k].4
+            ));
+        }
+        Ok(s)
     }
 }
 
@@ -308,8 +347,8 @@ mod tests {
     fn oldest_waiting_insert_predicts_timeout_one() {
         let mut s = OutOfOrderStation::new(4);
         assert_eq!(s.oldest_waiting_insert(), None);
-        s.insert_at(1, 'a', 10);
         s.insert_at(2, 'b', 5);
+        s.insert_at(1, 'a', 10);
         assert_eq!(s.oldest_waiting_insert(), Some(5));
         // Ready entries no longer wait, so they drop out of the minimum.
         s.complete(2, 0);
@@ -319,6 +358,15 @@ mod tests {
         let wake: Cycle = 10 + timeout + 1;
         assert_eq!(s.timeout_one((wake - 1).saturating_sub(timeout)), None);
         assert_eq!(s.timeout_one(wake.saturating_sub(timeout)), Some(1));
+    }
+
+    #[test]
+    fn from_parts_rejects_out_of_order_and_oversized_slots() {
+        let e = |born| (0u64, (), false, 0u64, born);
+        assert!(OutOfOrderStation::from_parts(2, [e(3), e(3)]).is_ok());
+        let err = OutOfOrderStation::from_parts(2, [e(4), e(3)]).unwrap_err();
+        assert!(err.contains("slot 1"), "{err}");
+        assert!(OutOfOrderStation::from_parts(1, [e(1), e(2)]).is_err());
     }
 
     #[test]

@@ -113,17 +113,10 @@ impl ActivityTracker {
     /// generic backpressure cause) so the partition invariant holds;
     /// prefer [`ActivityTracker::record_stall`] where the cause is known.
     pub fn record(&mut self, a: Activity) {
-        self.record_n(a, 1);
-    }
-
-    /// Records `n` cycles in one state in O(1) — the event-wheel
-    /// scheduler uses this to account a skipped quiescent stretch, where
-    /// every component holds the same state for every skipped cycle.
-    pub fn record_n(&mut self, a: Activity, n: u64) {
         match a {
-            Activity::Busy => self.busy += n,
-            Activity::Stall => self.record_stall_n(StallCause::DownstreamFull, n),
-            Activity::Idle => self.idle += n,
+            Activity::Busy => self.busy += 1,
+            Activity::Stall => self.record_stall(StallCause::DownstreamFull),
+            Activity::Idle => self.idle += 1,
         }
     }
 
@@ -236,20 +229,6 @@ mod tests {
         t.record(Activity::Idle);
         assert_eq!(t.total(), 4);
         assert!((t.utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_n_equals_n_records() {
-        let mut bulk = ActivityTracker::new();
-        let mut seq = ActivityTracker::new();
-        for (a, n) in [(Activity::Busy, 2u64), (Activity::Stall, 7), (Activity::Idle, 0)] {
-            bulk.record_n(a, n);
-            for _ in 0..n {
-                seq.record(a);
-            }
-        }
-        assert_eq!(bulk, seq);
-        assert_eq!(bulk.total(), 9);
     }
 
     #[test]

@@ -12,6 +12,9 @@ RUSTFLAGS="-D warnings" cargo build --release --offline
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+echo "==> perfbench self-tests (the benchmark still builds and runs against the fabric API)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> apir-lint over the builtin benchmark specs"
 cargo run -q --release --offline -p apir-check --bin apir-lint
 

@@ -8,6 +8,7 @@ use apir::core::{MemAccess, ProgramInput};
 use apir::fabric::{Fabric, FabricConfig};
 use apir::runtime::{ParConfig, ParRunner};
 use apir::sim::bandwidth::BandwidthMeter;
+use apir::sim::delay::OutOfOrderStation;
 use apir::sim::fifo::Fifo;
 use apir::workloads::gen;
 use apir::workloads::unionfind::{FlatUnionFind, UnionFind};
@@ -69,6 +70,67 @@ props! {
                     model.append(&mut staged);
                 }
             }
+        }
+    }
+
+    /// The station's first-waiting-entry scans (`timeout_one`,
+    /// `oldest_waiting_insert`) agree with full filter-and-minimum scans
+    /// of a model station, over random insert/complete/take/timeout
+    /// sequences with non-decreasing insertion cycles.
+    fn station_scans_match_full_window_scans(g) {
+        let cap = g.gen_range(1usize..8);
+        let mut s: OutOfOrderStation<u64> = OutOfOrderStation::new(cap);
+        // Model slots: (tag, payload, ready, word, born).
+        let mut model: Vec<(u64, u64, bool, u64, u64)> = Vec::new();
+        let mut now = g.gen_range(0u64..4);
+        let mut next = 0u64;
+        for _ in 0..g.gen_range(1usize..120) {
+            now += g.gen_range(0u64..3);
+            match g.gen_range(0u32..4) {
+                0 => {
+                    if s.can_insert() {
+                        // Few distinct tags, so duplicates get exercised.
+                        let tag = g.gen_range(0u64..6);
+                        s.insert_at(tag, next, now);
+                        model.push((tag, next, false, 0, now));
+                        next += 1;
+                    }
+                }
+                1 => {
+                    let (tag, word) = (g.gen_range(0u64..6), g.gen_range(0u64..100));
+                    let hit = model.iter_mut().find(|e| e.0 == tag && !e.2);
+                    let want = hit.map(|e| {
+                        e.2 = true;
+                        e.3 = word;
+                    });
+                    assert_eq!(s.complete(tag, word), want.is_some());
+                }
+                2 => {
+                    let want = model
+                        .iter()
+                        .position(|e| e.2)
+                        .map(|k| model.remove(k))
+                        .map(|e| (e.1, e.3));
+                    assert_eq!(s.take_ready(), want);
+                }
+                _ => {
+                    let cutoff = now.saturating_sub(g.gen_range(0u64..6));
+                    let want = model
+                        .iter_mut()
+                        .filter(|e| !e.2 && e.4 < cutoff)
+                        .min_by_key(|e| e.4)
+                        .map(|e| {
+                            e.2 = true;
+                            e.3 = 0;
+                            e.0
+                        });
+                    assert_eq!(s.timeout_one(cutoff), want);
+                }
+            }
+            let oldest = model.iter().filter(|e| !e.2).map(|e| e.4).min();
+            assert_eq!(s.oldest_waiting_insert(), oldest);
+            let slots: Vec<_> = s.iter_entries().map(|(t, p, r, w, b)| (t, *p, r, w, b)).collect();
+            assert_eq!(slots, model);
         }
     }
 

@@ -1,16 +1,20 @@
 //! Differential gate for the event-wheel scheduler.
 //!
-//! `FabricConfig::dense_tick` keeps the original dense per-cycle loop
-//! available as an oracle. The wheel must execute *identical*
-//! cycle-accurate semantics — every counter, histogram, fault draw,
-//! and retirement byte-identical — and only change wall-clock time.
-//! These tests run every builtin app fault-free and under the pinned
-//! chaos campaigns with both schedulers and compare:
+//! `FabricConfig::dense_tick` keeps the original dense per-cycle loop,
+//! which visits every pipeline stage on every cycle, available as an
+//! oracle. The event wheel, which skips quiescent stretches, and the
+//! per-pipeline active sets, which skip idle stages, must execute
+//! *identical* cycle-accurate semantics — every counter, histogram,
+//! fault draw, trace record and retirement byte-identical — and only
+//! change wall-clock time. These tests run every builtin app fault-free
+//! and under the pinned chaos campaigns with both schedulers and
+//! compare:
 //!
 //! 1. the full deterministic JSON report (`to_json` — counters,
 //!    utilization, metrics snapshot, fault totals),
 //! 2. the typed fault mix,
-//! 3. the complete `(cycle, task_set)` retirement log.
+//! 3. the complete `(cycle, task_set)` retirement log,
+//! 4. every record of the event trace, in order.
 //!
 //! A regression test also pins the `fault_window == 1` schedule: the
 //! old `now % fw == 1` predicate never fired for a one-cycle window
@@ -20,7 +24,7 @@
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, APP_NAMES};
 use apir::bench::Scale;
-use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig};
+use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig, RunSplit};
 
 /// The synthesized + tuned fault-free configuration, recording
 /// retirements so the schedule itself is compared, not just totals.
@@ -35,8 +39,14 @@ fn tuned_cfg(name: &str, app: &apir::apps::AppInstance) -> FabricConfig {
     // along with the replayed stall-cause attribution counters.
     cfg.timeline_window = 32;
     cfg.timeline_capacity = 256;
+    // Arm the trace ring, large enough that no record is dropped, so the
+    // gate also compares every stage's busy/stall/idle transitions.
+    cfg.trace_capacity = TRACE_CAP;
     cfg
 }
+
+/// Trace ring capacity: holds every record of a tiny-scale run.
+const TRACE_CAP: usize = 1 << 20;
 
 /// Same pinned chaos campaign seeds as `tests/chaos.rs`.
 const CAMPAIGNS: [(&str, [u64; 3]); 6] = [
@@ -79,6 +89,16 @@ fn assert_schedulers_agree(name: &str, app: &apir::apps::AppInstance, cfg: Fabri
         dense.mem_image, wheel.mem_image,
         "{name} {tag}: final memory images diverged"
     );
+    let records = |r: &FabricReport| {
+        let tr = r.trace.as_ref().expect("trace armed");
+        assert_eq!(tr.dropped(), 0, "{name} {tag}: trace ring overflowed");
+        tr.records().copied().collect::<Vec<_>>()
+    };
+    assert_eq!(
+        records(&dense),
+        records(&wheel),
+        "{name} {tag}: trace records diverged"
+    );
 }
 
 #[test]
@@ -98,6 +118,45 @@ fn dense_and_wheel_agree_under_chaos() {
             let mut cfg = tuned_cfg(name, &app);
             cfg.faults = FaultConfig::chaos(seed);
             assert_schedulers_agree(name, &app, cfg, &format!("chaos seed {seed}"));
+        }
+    }
+}
+
+/// Pauses a run at `at` (or, for the wheel, at the first cycle past a
+/// quiescent jump) and returns the paused cycle and snapshot text.
+fn snapshot_at(app: &apir::apps::AppInstance, cfg: FabricConfig, at: u64) -> Option<(u64, String)> {
+    match Fabric::new(&app.spec, &app.input, cfg).run_until(at).ok()? {
+        RunSplit::Done(_) => None,
+        RunSplit::Paused(f) => Some((f.snapshot().get("cycle")?.as_u64()?, f.snapshot().render())),
+    }
+}
+
+#[test]
+fn dense_and_wheel_snapshots_agree_mid_run() {
+    // The whole mutable state, not just the final report, must match at
+    // the same cycle: response queues drained on the same cycle, the
+    // same stage trackers and last activities, the same trace ring.
+    for (name, seeds) in CAMPAIGNS {
+        let app = build_app(name, Scale::Tiny);
+        for fault_seed in [None, Some(seeds[0])] {
+            let mut cfg = tuned_cfg(name, &app);
+            if let Some(seed) = fault_seed {
+                cfg.faults = FaultConfig::chaos(seed);
+            }
+            let cycles = run(name, &app, cfg.clone()).cycles;
+            for at in [cycles / 3, cycles / 2, cycles - cycles / 4] {
+                let Some((c, wheel)) = snapshot_at(&app, cfg.clone(), at) else {
+                    continue;
+                };
+                let mut dense_cfg = cfg.clone();
+                dense_cfg.dense_tick = true;
+                let (dc, dense) = snapshot_at(&app, dense_cfg, c).expect("dense pauses too");
+                assert_eq!(dc, c, "{name}: the dense loop pauses exactly on its target");
+                assert!(
+                    wheel == dense,
+                    "{name} (faults {fault_seed:?}): snapshots at cycle {c} diverged"
+                );
+            }
         }
     }
 }
@@ -175,6 +234,7 @@ fn probe_scheduler_wall_time() {
         let app = build_app(name, Scale::Tiny);
         let mut dense_cfg = tuned_cfg(name, &app);
         dense_cfg.record_retirements = false;
+        dense_cfg.trace_capacity = 0;
         dense_cfg.dense_tick = true;
         let mut wheel_cfg = dense_cfg.clone();
         wheel_cfg.dense_tick = false;

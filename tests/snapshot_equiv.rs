@@ -5,12 +5,17 @@
 //! event-wheel scheduler and the dense per-cycle oracle. This is the
 //! contract that makes checkpoints trustworthy: a restored run is
 //! *provably* the run it resumed.
+//!
+//! The trace ring and the timeline are armed, and every trace record is
+//! compared too: a restore that forgot a stage's last activity would
+//! lose or duplicate a busy/stall/idle transition record while every
+//! counter still matched.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, AppInstance, APP_NAMES};
 use apir::bench::Scale;
-use apir::fabric::{Fabric, FabricConfig, FaultConfig, RunSplit};
-use apir_util::props;
+use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig, RunSplit};
+use apir_util::{props, Json};
 
 fn app_cfg(name: &str, fault_seed: Option<u64>, dense: bool) -> (AppInstance, FabricConfig) {
     let app = build_app(name, Scale::Tiny);
@@ -19,9 +24,27 @@ fn app_cfg(name: &str, fault_seed: Option<u64>, dense: bool) -> (AppInstance, Fa
         cfg.faults = FaultConfig::chaos(seed);
     }
     cfg.dense_tick = dense;
+    cfg.trace_capacity = 1 << 20;
+    cfg.timeline_window = 32;
+    cfg.timeline_capacity = 256;
     scale_cache(&mut cfg, &app.input);
     (app.tune)(&mut cfg);
     (app, cfg)
+}
+
+/// The report JSON followed by every trace record, one per line: the
+/// bytes a restored run must reproduce.
+fn fingerprint(report: &FabricReport) -> String {
+    let tr = report.trace.as_ref().expect("trace armed");
+    assert_eq!(tr.dropped(), 0, "trace ring overflowed");
+    let mut out = report.to_json();
+    for r in tr.records() {
+        out.push_str(&format!(
+            "\n{} {} {} {}",
+            r.cycle, r.comp.0, r.event, r.value
+        ));
+    }
+    out
 }
 
 /// The uninterrupted run's report JSON (and its cycle count, for
@@ -32,7 +55,7 @@ fn uninterrupted(name: &str, fault_seed: Option<u64>, dense: bool) -> (String, u
         .run()
         .unwrap_or_else(|e| panic!("{name}: uninterrupted run failed: {e}"));
     (app.check)(&report.mem_image).unwrap_or_else(|e| panic!("{name}: bad image: {e}"));
-    (report.to_json(), report.cycles)
+    (fingerprint(&report), report.cycles)
 }
 
 /// Pause at `at`, snapshot, restore into a *fresh* fabric, finish, and
@@ -56,7 +79,7 @@ fn split_at(name: &str, fault_seed: Option<u64>, dense: bool, at: u64) -> String
     };
     (app.check)(&report.mem_image)
         .unwrap_or_else(|e| panic!("{name}: resumed image is bad: {e}"));
-    report.to_json()
+    fingerprint(&report)
 }
 
 /// Splits the app at cycle 0 (before the first tick), at 1 (one tick
@@ -138,9 +161,101 @@ fn snapshot_doc_carries_the_versioned_schema() {
     assert_eq!(apir_util::json::parse(&text).unwrap().render(), text);
 }
 
+/// Mutable member `key` of a JSON object.
+fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    match j {
+        Json::Obj(kv) => &mut kv.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        _ => panic!("`{key}`: not an object"),
+    }
+}
+
+/// Mutable element `i` of a JSON array.
+fn item(j: &mut Json, i: usize) -> &mut Json {
+    match j {
+        Json::Arr(v) => &mut v[i],
+        _ => panic!("element {i}: not an array"),
+    }
+}
+
+#[test]
+fn restore_rejects_a_stage_tracker_that_breaks_derived_idle() {
+    // Idle cycles are derived (`cycle - busy - stall`), so a restored
+    // tracker must satisfy that identity exactly; a mutated leaf must be
+    // rejected with the pipeline and stage named — never wrap or panic.
+    let (app, cfg) = app_cfg("SPEC-BFS", None, false);
+    let RunSplit::Paused(fabric) = Fabric::new(&app.spec, &app.input, cfg.clone())
+        .run_until(300)
+        .unwrap()
+    else {
+        panic!("SPEC-BFS runs longer than 300 cycles");
+    };
+    let doc = fabric.snapshot();
+    let pipelines = doc.get("pipelines").and_then(Json::as_arr).unwrap();
+    let (pi, si) = (pipelines.len() - 1, 2);
+    let stage = &pipelines[pi].get("stages").and_then(Json::as_arr).unwrap()[si];
+    let orig: Vec<u64> = stage
+        .get("tk")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|v| v.as_u64().unwrap())
+        .collect();
+    assert_eq!(
+        orig[0] + orig[1] + orig[2],
+        300,
+        "busy + stall + idle == cycle"
+    );
+    // (leaf index, new value): idle off by one, busy past the cycle,
+    // busy + stall wrapping u64, a stall cause that breaks the sum.
+    let cases: [&[(usize, u64)]; 4] = [
+        &[(2, orig[2] + 1)],
+        &[(0, 301)],
+        &[(0, u64::MAX), (1, 1)],
+        &[(3, orig[3] + 1)],
+    ];
+    for leaves in cases {
+        let mut bad = doc.clone();
+        let stage = item(
+            member(item(member(&mut bad, "pipelines"), pi), "stages"),
+            si,
+        );
+        for &(leaf, value) in leaves {
+            *item(member(stage, "tk"), leaf) = Json::U64(value);
+        }
+        let err = Fabric::restore(&app.spec, &app.input, cfg.clone(), &bad)
+            .err()
+            .unwrap_or_else(|| panic!("tk mutation {leaves:?} was accepted"));
+        assert!(
+            err.contains(&format!("pipeline {pi} stage {si}")),
+            "tk mutation {leaves:?}: error does not name the stage: {err}"
+        );
+    }
+    // The unmutated document still restores.
+    assert!(Fabric::restore(&app.spec, &app.input, cfg, &doc).is_ok());
+}
+
 props! {
     // Full fabric runs per case; keep the count modest.
     cases = 6;
+
+    /// Splitting at a random cycle, with the trace ring armed, resumes
+    /// to the uninterrupted run's report and trace records.
+    fn random_split_with_trace_is_byte_identical(g) {
+        let name = APP_NAMES[g.gen_range(0usize..APP_NAMES.len())];
+        let fault_seed = if g.gen_bool(0.5) {
+            Some(g.gen_range(0u64..1000))
+        } else {
+            None
+        };
+        let dense = g.gen_bool(0.25);
+        let (want, cycles) = uninterrupted(name, fault_seed, dense);
+        let at = g.gen_range(0u64..cycles.max(1));
+        assert_eq!(
+            split_at(name, fault_seed, dense, at),
+            want,
+            "{name} (faults {fault_seed:?}, dense {dense}): split at cycle {at} diverged"
+        );
+    }
 
     /// snapshot -> restore -> snapshot is a fixed point: restoring a
     /// document and immediately re-snapshotting reproduces it
