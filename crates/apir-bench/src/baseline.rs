@@ -6,9 +6,11 @@
 //! renders per-app `{cycles, utilization, mem.hits, mem.misses,
 //! retired, squashes, wall_ms, mcycles_per_sec}`. The first six keys
 //! are deterministic; the two wall-clock keys (v2) measure the host
-//! machine and change run to run, so every byte-identity comparison —
-//! [`emit_baseline`]'s double-run assert, the `verify.sh` bench-smoke
-//! `git diff` — excludes them (see [`strip_wall_lines`]).
+//! machine and change run to run, so every byte-identity comparison
+//! excludes them: [`emit_baseline`]'s double-run assert drops their
+//! lines (see [`strip_wall_lines`]), and the `verify.sh` bench-smoke
+//! gate compares key by key with `apir-trace diff --tolerance-wall`,
+//! which skips [`WALL_KEYS`].
 //! [`validate_baseline`] checks any document against the schema.
 
 use crate::experiments::{scale_cache, synthesized_cfg};
@@ -38,12 +40,13 @@ pub const APP_KEYS: [&str; 6] = [
 ];
 
 /// Per-app wall-clock keys (v2): host-dependent, excluded from every
-/// byte-identity comparison.
+/// byte-identity comparison. `apir-trace diff --tolerance-wall` skips
+/// exactly these keys.
 pub const WALL_KEYS: [&str; 2] = ["wall_ms", "mcycles_per_sec"];
 
 /// Drops the lines carrying wall-clock keys so two documents can be
 /// compared for the determinism contract (the pretty renderer puts one
-/// key per line; `verify.sh` applies the same filter with `git diff -I`).
+/// key per line).
 pub fn strip_wall_lines(doc: &str) -> String {
     doc.lines()
         .filter(|l| !WALL_KEYS.iter().any(|k| l.contains(k)))

@@ -298,30 +298,64 @@ struct Stage {
     station: Option<OutOfOrderStation<Ctx>>,
     /// Progress cursor of an in-flight `EnqueueRange`.
     expand_pos: Option<u64>,
-    /// Busy and stall cycles. `idle` stays 0 here: it is derived, see
-    /// [`Stage::tracker_at`].
+    /// Busy and stall cycles credited so far. `idle` stays 0 here, and
+    /// the stall of a sleeping stage is credited late: both are derived,
+    /// see [`Stage::tracker_at`].
     tracker: ActivityTracker,
     /// Trace component of this stage (meaningful only when tracing).
     comp: CompId,
     /// Last activity state recorded to the trace (transition detection).
     last_activity: Option<Activity>,
-    /// Cause of the most recent recorded stall. The event wheel only
-    /// fast-forwards across a tick in which every waiting stage recorded
-    /// a caused stall, so replaying this cause for the skipped cycles is
-    /// exact.
+    /// Cause of the most recent recorded stall. With [`Stage::asleep`]
+    /// it is the stage's stall *level*: a sleeping stage stalls for this
+    /// cause on every cycle after `since`.
     last_stall_cause: StallCause,
+    /// `Some(since)` while the stage's stall has been credited only
+    /// through cycle `since`: it is asleep, out of its pipeline's active
+    /// set until the one event that can unblock it, or it was waiting
+    /// across a quiescent jump. Its next visit settles the gap first.
+    asleep: Option<u64>,
 }
 
 impl Stage {
     /// The stage's activity through `cycle`. Every cycle a stage is
-    /// exactly one of busy, stall or idle, so idle is what busy and
-    /// stall leave; it is never counted, which is what lets a stage out
-    /// of the active set cost nothing.
+    /// exactly one of busy, stall or idle. A sleeper stalls for
+    /// `last_stall_cause` on every cycle since it fell asleep, and idle
+    /// is what busy and stall leave; neither is counted per cycle,
+    /// which is what lets a stage out of the active set cost nothing.
     fn tracker_at(&self, cycle: u64) -> ActivityTracker {
-        ActivityTracker {
-            idle: cycle - self.tracker.busy - self.tracker.stall,
-            ..self.tracker
+        let mut t = self.tracker;
+        if let Some(since) = self.asleep {
+            t.record_stall_n(self.last_stall_cause, cycle - since);
         }
+        t.idle = cycle - t.busy - t.stall;
+        t
+    }
+
+    /// Credits the stall cycles of a sleep that ends now: every cycle
+    /// after `since` and before `now`, which the visit at `now` records
+    /// itself.
+    fn settle(&mut self, now: u64) {
+        if let Some(since) = self.asleep.take() {
+            self.tracker
+                .record_stall_n(self.last_stall_cause, now - 1 - since);
+        }
+    }
+
+    /// May this stage sleep after a visit that stalled for `cause` with
+    /// no progress and no activity? Only when the blocker can clear on
+    /// nothing but a wake event: the next latch emptying
+    /// (`DownstreamFull`) or a response arriving on its port
+    /// (`MissOutstanding`, `MshrFull`). A rendezvous times out by
+    /// itself, and an extern's `DownstreamFull` also covers a full unit
+    /// queue, so both stay awake.
+    fn can_sleep(&self, cause: StallCause) -> bool {
+        use StallCause::{DownstreamFull, MissOutstanding, MshrFull};
+        matches!(cause, DownstreamFull | MissOutstanding | MshrFull)
+            && !matches!(
+                (&self.op, cause),
+                (BodyOp::Rendezvous { .. }, _) | (BodyOp::Extern { .. }, DownstreamFull)
+            )
     }
 }
 
@@ -331,9 +365,10 @@ struct Pipeline {
     stages: Vec<Stage>,
     /// The active set, one bit per stage (bit `i % 64` of word
     /// `i / 64`): the stages the next tick visits. A stage joins when a
-    /// context lands in its latch or a response lands on its port, and
-    /// leaves after a visit that ends idle. Every stage is in the set
-    /// after [`Fabric::new`] and after a restore.
+    /// context lands in its latch, a response lands on its port, or,
+    /// asleep, when the context in the next latch leaves; it leaves after
+    /// a visit that ends idle or asleep (see [`Stage::asleep`]). Every
+    /// stage is in the set after [`Fabric::new`] and after a restore.
     active: Vec<u64>,
     /// Extern unit attached to this pipeline (if the body calls externs).
     extern_unit: Option<ExternUnit>,
@@ -538,6 +573,7 @@ impl Fabric {
                         tracker: ActivityTracker::new(),
                         last_activity: None,
                         last_stall_cause: StallCause::DownstreamFull,
+                        asleep: None,
                     });
                 }
                 let mut p = Pipeline {
@@ -1180,22 +1216,37 @@ impl Fabric {
         }
         debug_assert!(
             self.active_sets_cover_work(),
-            "a stage holding work is missing from its active set"
+            "a stage holding work is neither in its active set nor blocked asleep"
         );
         moved || progress
     }
 
     /// Does every stage that holds work — a latch occupant, a station
-    /// entry or a pending response — sit in its pipeline's active set?
+    /// entry or a pending response — sit in its pipeline's active set or
+    /// sleep, and does every sleeper's blocker still hold: an occupied
+    /// next latch for `DownstreamFull`, no pending response on its port
+    /// for `MissOutstanding` and `MshrFull`?
     fn active_sets_cover_work(&self) -> bool {
         self.pipelines.iter().all(|p| {
             p.stages.iter().enumerate().all(|(i, st)| {
-                p.active[i / 64] >> (i % 64) & 1 == 1
-                    || (p.latches[i].is_none()
-                        && st.station.as_ref().map_or(true, |s| s.is_empty())
-                        && st
-                            .port
-                            .map_or(true, |port| self.resp[port as usize].is_empty()))
+                if p.active[i / 64] >> (i % 64) & 1 == 1 {
+                    return true;
+                }
+                let no_response = st
+                    .port
+                    .is_none_or(|port| self.resp[port as usize].is_empty());
+                match (st.asleep, st.last_stall_cause) {
+                    (None, _) => {
+                        p.latches[i].is_none()
+                            && st.station.as_ref().is_none_or(|s| s.is_empty())
+                            && no_response
+                    }
+                    (Some(_), StallCause::DownstreamFull) => {
+                        p.latches.get(i + 1).is_some_and(Option::is_some)
+                    }
+                    (Some(_), StallCause::MissOutstanding | StallCause::MshrFull) => no_response,
+                    (Some(_), _) => false,
+                }
             })
         })
     }
@@ -1283,14 +1334,16 @@ impl Fabric {
     /// Jumps the clock forward `k` quiescent cycles, replaying exactly
     /// the per-cycle side effects the dense loop would have produced:
     /// bandwidth-credit accrual (bit-exact — see
-    /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]), the per-cycle
-    /// occupancy histograms, and per-stage stall accounting. A quiescent
-    /// stage repeats the state of the preceding tick, so no trace
-    /// transition fires; idle stages need nothing, since idle is
-    /// derived from the clock; and counters and gauges other than
-    /// `fabric.cycles` are level-valued, so re-publishing them would be
-    /// a no-op.
+    /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]) and the
+    /// per-cycle occupancy histograms. A quiescent stage repeats the
+    /// state of the preceding tick, so no trace transition fires. Stage
+    /// accounting needs no replay: idle is derived from the clock, and a
+    /// waiting stage stalls for its last cause on every skipped cycle,
+    /// which is exactly a sleep that starts at the jump. Counters and
+    /// gauges other than `fabric.cycles` are level-valued, so
+    /// re-publishing them would be a no-op.
     fn fast_forward(&mut self, k: u64) {
+        let from = self.cycle;
         self.cycle += k;
         // The clock is the one counter a quiescent stretch moves; a run
         // paused right after the jump must snapshot the moved value.
@@ -1304,12 +1357,11 @@ impl Fabric {
         for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
             e.publish_skipped(ids, &mut self.metrics, k);
         }
-        // Every waiting stage is in its pipeline's active set: only a
-        // visit that ends idle removes one.
-        let mut waiting_stages = 0u64;
-        let mut total_stages = 0u64;
+        // A waiting stage is asleep or in its pipeline's active set (only
+        // a visit that ends idle or asleep removes one). The preceding
+        // tick recorded a caused stall for each one in the set; from the
+        // jump on it sleeps in place, and its next visit settles.
         for p in &mut self.pipelines {
-            total_stages += p.stages.len() as u64;
             for (w, &word) in p.active.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
@@ -1318,21 +1370,21 @@ impl Fabric {
                     let st = &mut p.stages[i];
                     if p.latches[i].is_some() || st.station.as_ref().is_some_and(|s| !s.is_empty())
                     {
-                        // The preceding tick recorded a caused stall for
-                        // this stage; the quiescent cycles repeat it.
-                        st.tracker.record_stall_n(st.last_stall_cause, k);
-                        waiting_stages += 1;
+                        st.asleep.get_or_insert(from);
                     }
                 }
             }
         }
         if let Some(tl) = self.timeline.as_mut() {
             // Per-cycle delta of a quiescent cycle: no stage is busy,
-            // waiting stages stall, the rest idle, and no retirement or
-            // memory traffic happens (any of those would have moved).
+            // waiting stages (all asleep from the jump on) stall, the
+            // rest idle, and no retirement or memory traffic happens (any
+            // of those would have moved).
+            let stages = self.pipelines.iter().flat_map(|p| &p.stages);
+            let waiting = stages.clone().filter(|st| st.asleep.is_some()).count() as u64;
             let delta = TimelineSample {
-                stall: waiting_stages,
-                idle: total_stages - waiting_stages,
+                stall: waiting,
+                idle: stages.count() as u64 - waiting,
                 ..TimelineSample::default()
             };
             tl.observe_n(&delta, k);
@@ -1657,18 +1709,29 @@ fn tick_pipeline(p: &mut Pipeline, sh: &mut Shared<'_>) -> (bool, bool) {
             let b = 63 - todo.leading_zeros() as usize;
             todo &= !(1u64 << b);
             let i = w * 64 + b;
+            let held = p.latches[i].is_some();
+            let next_free = i + 1 < n && p.latches[i + 1].is_none();
             let (state, s_progress, s_active) = tick_stage(p, i, sh);
             progress |= s_progress;
             active |= s_active;
             // A context that moved into latch i + 1 wakes that stage for
             // the next cycle (it was already visited on this one).
-            if i + 1 < n && p.latches[i + 1].is_some() {
+            if next_free && p.latches[i + 1].is_some() {
                 p.activate(i + 1);
             }
-            // A stage that ends a visit idle holds nothing, and visiting
-            // it again would change nothing until a context or a response
-            // arrives, which puts it back.
-            if state == Activity::Idle {
+            // A context that left latch i wakes a stage i − 1 sleeping on
+            // it in this same cycle: it is visited after this one, so it
+            // sees exactly what the dense loop shows it.
+            if held && p.latches[i].is_none() && i > 0 && p.stages[i - 1].asleep.is_some() {
+                p.activate(i - 1);
+                if b > 0 {
+                    todo |= 1u64 << (b - 1);
+                }
+            }
+            // A stage that ends a visit idle holds nothing, and one that
+            // fell asleep is blocked; visiting either again would change
+            // nothing until a wake event puts it back.
+            if state == Activity::Idle || p.stages[i].asleep.is_some() {
                 p.active[w] &= !(1u64 << b);
             }
             // Trace only activity *transitions* so a stage that stays
@@ -1713,6 +1776,7 @@ fn tick_stage(p: &mut Pipeline, i: usize, sh: &mut Shared<'_>) -> (Activity, boo
         (&mut a[i], b.first_mut())
     };
     let stage = &mut p.stages[i];
+    stage.settle(sh.now);
 
     // Phase A: drain responses into the station and retire ready
     // entries forward.
@@ -2006,8 +2070,8 @@ fn tick_stage(p: &mut Pipeline, i: usize, sh: &mut Shared<'_>) -> (Activity, boo
         *latch_cur = stalled_ctx;
     }
 
-    // Activity accounting. Idle cycles are not counted: they are derived
-    // (see `Stage::tracker_at`).
+    // Activity accounting. Idle cycles are not counted, nor are the
+    // stall cycles of a sleep: both are derived (see `Stage::tracker_at`).
     let waiting_latch = latch_cur.is_some();
     let state = if busy {
         stage.tracker.record(Activity::Busy);
@@ -2025,6 +2089,11 @@ fn tick_stage(p: &mut Pipeline, i: usize, sh: &mut Shared<'_>) -> (Activity, boo
         };
         stage.tracker.record_stall(cause);
         stage.last_stall_cause = cause;
+        // Nothing this visit did, and nothing but a wake event can
+        // change, so every cycle until then would repeat this one.
+        if !sh.dense && !progress && !bounced && stage.can_sleep(cause) {
+            stage.asleep = Some(sh.now);
+        }
         Activity::Stall
     } else {
         Activity::Idle
@@ -2546,8 +2615,9 @@ fn station_from(
 }
 
 /// Encodes one pipeline's latches, stage state, and extern unit at
-/// `cycle`. The active set is not encoded: restore puts every stage in
-/// it.
+/// `cycle`. Trackers are written settled, through [`Stage::tracker_at`];
+/// the active set and sleep marks are not encoded: restore puts every
+/// stage, awake, in the set.
 fn pipeline_json(p: &Pipeline, cycle: u64) -> Json {
     Json::obj([
         (
@@ -2623,6 +2693,7 @@ fn restore_pipeline(p: &mut Pipeline, pj: &Json, pi: usize, cycle: u64) -> Resul
         };
         st.last_stall_cause =
             stall_cause_from(snapshot::u64_field(sj, "lsc")?)?;
+        st.asleep = None;
     }
     p.activate_all();
     let ext_j = snapshot::field(pj, "ext")?;

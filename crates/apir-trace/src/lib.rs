@@ -24,6 +24,7 @@
 //! apir-trace run SPEC-BFS --scale tiny --chrome out.json
 //! ```
 
+use apir_bench::baseline::WALL_KEYS;
 use apir_bench::experiments::{run_verified, synthesized_cfg};
 use apir_bench::Scale;
 use apir_fabric::FabricReport;
@@ -592,10 +593,6 @@ pub fn timeline_sparkline(report: &FabricReport) -> Option<String> {
     Some(s)
 }
 
-/// Wall-clock keys excluded from comparison under `--tolerance-wall`
-/// (the same convention as `apir_bench::baseline::strip_wall_lines`).
-pub const WALL_KEYS: [&str; 2] = ["wall_ms", "mcycles_per_sec"];
-
 /// One difference between two flattened report documents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DiffLine {
@@ -686,8 +683,9 @@ fn is_wall_key(key: &str) -> bool {
 /// Compares two report documents key by key.
 ///
 /// Both documents are flattened to dotted scalar keys and compared
-/// exactly; `tolerate_wall` skips the non-deterministic wall-clock keys
-/// ([`WALL_KEYS`]). An empty result means the documents are equivalent.
+/// exactly; `tolerate_wall` skips the bench baseline's non-deterministic
+/// wall-clock keys ([`WALL_KEYS`]). An empty result means the documents
+/// are equivalent.
 ///
 /// # Errors
 ///

@@ -404,12 +404,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                s.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\` in one slice.
+                // Both are ASCII, so the run ends on a character boundary
+                // and validating it alone keeps the parse linear.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| err(start, "invalid UTF-8"))?;
+                s.push_str(run);
             }
         }
     }
@@ -492,6 +496,45 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    /// Characters that exercise every string path: plain ASCII, the
+    /// two run terminators, named escapes, bare control characters and
+    /// multi-byte UTF-8 of every width.
+    const PALETTE: [char; 16] = [
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{1}', '\u{1f}', 'é', 'π',
+        '€', '𝄞',
+    ];
+
+    crate::props! {
+        cases = 256;
+
+        /// Render → parse is the identity on strings, and so is a
+        /// hand-written encoding that spells random characters as `\u`
+        /// escapes.
+        fn strings_roundtrip_through_parser(g) {
+            let s: String = g
+                .vec(0usize..40, |g| PALETTE[g.gen_range(0usize..PALETTE.len())])
+                .into_iter()
+                .collect();
+            let doc = Json::arr([Json::str(&s), Json::obj([(s.as_str(), Json::str(&s))])]);
+            assert_eq!(parse(&doc.render()).unwrap(), doc, "{s:?}");
+
+            let mut text = String::from("\"");
+            for c in s.chars() {
+                let spelled = (c as u32) < 0x10000 && g.gen_bool(0.5);
+                match c {
+                    _ if spelled => {
+                        let _ = write!(text, "\\u{:04x}", c as u32);
+                    }
+                    '"' => text.push_str("\\\""),
+                    '\\' => text.push_str("\\\\"),
+                    c => text.push(c),
+                }
+            }
+            text.push('"');
+            assert_eq!(parse(&text).unwrap(), Json::str(&s), "{text:?}");
+        }
     }
 
     #[test]

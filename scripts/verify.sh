@@ -89,19 +89,27 @@ if ! cargo run -q --release --offline -p apir-trace -- \
 fi
 
 echo "==> snapshot round-trip gate (pause, serialize, restore, byte-identical finish)"
-cargo run -q --release --offline -p apir-trace -- \
-  run SPEC-BFS --json "$snap_full" > /dev/null
-cargo run -q --release --offline -p apir-trace -- \
-  snapshot SPEC-BFS --at 400 --out "$snap_doc" > /dev/null
-cargo run -q --release --offline -p apir-trace -- \
-  restore-run SPEC-BFS "$snap_doc" --json "$snap_resumed" > /dev/null
-# The resumed report carries no wall-clock keys: a restored run must be
-# indistinguishable from the run it resumed, on every key.
-if ! cargo run -q --release --offline -p apir-trace -- \
-  diff --machine "$snap_full" "$snap_resumed"; then
-  echo "ERROR: a run restored from a snapshot diverged from the uninterrupted run (keys above)." >&2
-  exit 1
-fi
+# SPEC-BFS tiny pauses with almost no stage asleep; SPEC-SSSP small
+# pauses with long chains of sleeping stages, whose stall cycles the
+# snapshot must carry settled.
+snapshot_round_trip() {
+  local app=$1 scale=$2 at=$3
+  cargo run -q --release --offline -p apir-trace -- \
+    run "$app" --scale "$scale" --json "$snap_full" > /dev/null
+  cargo run -q --release --offline -p apir-trace -- \
+    snapshot "$app" --scale "$scale" --at "$at" --out "$snap_doc" > /dev/null
+  cargo run -q --release --offline -p apir-trace -- \
+    restore-run "$app" --scale "$scale" "$snap_doc" --json "$snap_resumed" > /dev/null
+  # The resumed report carries no wall-clock keys: a restored run must be
+  # indistinguishable from the run it resumed, on every key.
+  if ! cargo run -q --release --offline -p apir-trace -- \
+    diff --machine "$snap_full" "$snap_resumed"; then
+    echo "ERROR: $app ($scale) restored from a snapshot at cycle $at diverged from the uninterrupted run (keys above)." >&2
+    exit 1
+  fi
+}
+snapshot_round_trip SPEC-BFS tiny 400
+snapshot_round_trip SPEC-SSSP small 30000
 
 echo "==> campaign resume gate (torn partial log, 8-thread resume == 1-thread full run)"
 cargo run -q --release --offline -p apir-trace -- \

@@ -16,6 +16,10 @@
 //! 3. the complete `(cycle, task_set)` retirement log,
 //! 4. every record of the event trace, in order.
 //!
+//! The same comparison, plus a mid-run snapshot, also runs at small
+//! scale for the apps whose pipelines back up the most, where chains of
+//! sleeping stages (see `DESIGN.md` §8.1) are dense.
+//!
 //! A regression test also pins the `fault_window == 1` schedule: the
 //! old `now % fw == 1` predicate never fired for a one-cycle window
 //! (no cycle satisfies `now % 1 == 1`), so maximum-pressure campaigns
@@ -26,10 +30,11 @@ use apir::bench::scale::{build_app, APP_NAMES};
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig, RunSplit};
 
-/// The synthesized + tuned fault-free configuration, recording
-/// retirements so the schedule itself is compared, not just totals.
-fn tuned_cfg(name: &str, app: &apir::apps::AppInstance) -> FabricConfig {
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
+/// The synthesized + tuned fault-free configuration at `scale`,
+/// recording retirements so the schedule itself is compared, not just
+/// totals.
+fn tuned_cfg(name: &str, app: &apir::apps::AppInstance, scale: Scale) -> FabricConfig {
+    let mut cfg = synthesized_cfg(name, scale);
     scale_cache(&mut cfg, &app.input);
     (app.tune)(&mut cfg);
     cfg.record_retirements = true;
@@ -64,8 +69,14 @@ fn run(name: &str, app: &apir::apps::AppInstance, cfg: FabricConfig) -> FabricRe
         .unwrap_or_else(|e| panic!("{name}: run failed: {e}"))
 }
 
-/// Runs one config under both schedulers and asserts full equivalence.
-fn assert_schedulers_agree(name: &str, app: &apir::apps::AppInstance, cfg: FabricConfig, tag: &str) {
+/// Runs one config under both schedulers, asserts full equivalence, and
+/// returns the run's length in cycles.
+fn assert_schedulers_agree(
+    name: &str,
+    app: &apir::apps::AppInstance,
+    cfg: FabricConfig,
+    tag: &str,
+) -> u64 {
     let mut dense_cfg = cfg.clone();
     dense_cfg.dense_tick = true;
     let mut wheel_cfg = cfg;
@@ -99,13 +110,14 @@ fn assert_schedulers_agree(name: &str, app: &apir::apps::AppInstance, cfg: Fabri
         records(&wheel),
         "{name} {tag}: trace records diverged"
     );
+    wheel.cycles
 }
 
 #[test]
 fn dense_and_wheel_agree_fault_free() {
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
-        let cfg = tuned_cfg(name, &app);
+        let cfg = tuned_cfg(name, &app, Scale::Tiny);
         assert_schedulers_agree(name, &app, cfg, "fault-free");
     }
 }
@@ -115,10 +127,27 @@ fn dense_and_wheel_agree_under_chaos() {
     for (name, seeds) in CAMPAIGNS {
         let app = build_app(name, Scale::Tiny);
         for seed in seeds {
-            let mut cfg = tuned_cfg(name, &app);
+            let mut cfg = tuned_cfg(name, &app, Scale::Tiny);
             cfg.faults = FaultConfig::chaos(seed);
             assert_schedulers_agree(name, &app, cfg, &format!("chaos seed {seed}"));
         }
+    }
+}
+
+/// Apps whose small-scale runs keep long chains of stages asleep: a
+/// stalled tail backs up through full latches and waiting stations.
+const SLEEPY_APPS: [&str; 3] = ["SPEC-BFS", "COOR-BFS", "SPEC-SSSP"];
+
+#[test]
+fn dense_and_wheel_agree_at_small_scale() {
+    // Tiny runs rarely hold a pipeline full; at small scale chains of
+    // sleeping stages are dense, so every wake event is exercised many
+    // times over, and a mid-run snapshot compares the settled trackers.
+    for name in SLEEPY_APPS {
+        let app = build_app(name, Scale::Small);
+        let cfg = tuned_cfg(name, &app, Scale::Small);
+        let cycles = assert_schedulers_agree(name, &app, cfg.clone(), "small fault-free");
+        assert_snapshots_agree(name, &app, cfg, cycles / 2, "small");
     }
 }
 
@@ -139,26 +168,39 @@ fn dense_and_wheel_snapshots_agree_mid_run() {
     for (name, seeds) in CAMPAIGNS {
         let app = build_app(name, Scale::Tiny);
         for fault_seed in [None, Some(seeds[0])] {
-            let mut cfg = tuned_cfg(name, &app);
+            let mut cfg = tuned_cfg(name, &app, Scale::Tiny);
             if let Some(seed) = fault_seed {
                 cfg.faults = FaultConfig::chaos(seed);
             }
             let cycles = run(name, &app, cfg.clone()).cycles;
             for at in [cycles / 3, cycles / 2, cycles - cycles / 4] {
-                let Some((c, wheel)) = snapshot_at(&app, cfg.clone(), at) else {
-                    continue;
-                };
-                let mut dense_cfg = cfg.clone();
-                dense_cfg.dense_tick = true;
-                let (dc, dense) = snapshot_at(&app, dense_cfg, c).expect("dense pauses too");
-                assert_eq!(dc, c, "{name}: the dense loop pauses exactly on its target");
-                assert!(
-                    wheel == dense,
-                    "{name} (faults {fault_seed:?}): snapshots at cycle {c} diverged"
-                );
+                let tag = format!("faults {fault_seed:?}");
+                assert_snapshots_agree(name, &app, cfg.clone(), at, &tag);
             }
         }
     }
+}
+
+/// Pauses the wheel at `at` and the dense loop on the cycle the wheel
+/// paused on, and asserts the two snapshots are byte-identical.
+fn assert_snapshots_agree(
+    name: &str,
+    app: &apir::apps::AppInstance,
+    cfg: FabricConfig,
+    at: u64,
+    tag: &str,
+) {
+    let Some((c, wheel)) = snapshot_at(app, cfg.clone(), at) else {
+        return;
+    };
+    let mut dense_cfg = cfg;
+    dense_cfg.dense_tick = true;
+    let (dc, dense) = snapshot_at(app, dense_cfg, c).expect("dense pauses too");
+    assert_eq!(dc, c, "{name}: the dense loop pauses exactly on its target");
+    assert!(
+        wheel == dense,
+        "{name} ({tag}): snapshots at cycle {c} diverged"
+    );
 }
 
 #[test]
@@ -169,7 +211,7 @@ fn fault_window_one_injects_faults() {
     // campaign ran fault-free without saying so.
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = tuned_cfg(name, &app);
+    let mut cfg = tuned_cfg(name, &app, Scale::Tiny);
     cfg.faults = FaultConfig::chaos(1);
     cfg.faults.fault_window = 1;
     let report = run(name, &app, cfg.clone());
@@ -198,12 +240,12 @@ fn fault_window_schedule_is_pinned() {
     // wheel's fault-window wake times shows up here first.
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = tuned_cfg(name, &app);
+    let mut cfg = tuned_cfg(name, &app, Scale::Tiny);
     cfg.faults = FaultConfig::chaos(1);
     cfg.faults.fault_window = 1;
     let with_one = run(name, &app, cfg).faults;
 
-    let mut cfg16 = tuned_cfg(name, &app);
+    let mut cfg16 = tuned_cfg(name, &app, Scale::Tiny);
     cfg16.faults = FaultConfig::chaos(1);
     assert_eq!(cfg16.faults.fault_window, 16, "chaos preset window");
     let with_sixteen = run(name, &app, cfg16).faults;
@@ -232,7 +274,7 @@ fn probe_scheduler_wall_time() {
     );
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
-        let mut dense_cfg = tuned_cfg(name, &app);
+        let mut dense_cfg = tuned_cfg(name, &app, Scale::Tiny);
         dense_cfg.record_retirements = false;
         dense_cfg.trace_capacity = 0;
         dense_cfg.dense_tick = true;
