@@ -471,19 +471,21 @@ mod tests {
     #[test]
     fn timeline_block_renders_windows() {
         use apir_sim::timeline::TimelineRecorder;
-        let mut rec = TimelineRecorder::new(4, 8);
-        let s = apir_sim::timeline::TimelineSample {
-            busy: 1,
-            stall: 2,
-            idle: 3,
-            retired: 1,
+        // Totals after `c` cycles of a fabric moving 64 link bytes a
+        // cycle (among other things): one full window and a partial tail.
+        let totals = |c: u64| apir_sim::timeline::TimelineSample {
+            busy: c,
+            stall: 2 * c,
+            idle: 3 * c,
+            retired: c,
             hits: 0,
             misses: 0,
-            qpi_bytes: 64,
+            qpi_bytes: 64 * c,
         };
-        rec.observe_n(&s, 6);
+        let mut rec = TimelineRecorder::new(4, 8);
+        rec.close(totals(4));
         let mut r = tiny_report();
-        r.timeline = Some(rec.finish());
+        r.timeline = Some(rec.finish(6, totals(6)));
         let parsed = apir_util::json::parse(&r.to_json()).expect("valid JSON");
         let tl = parsed.get("timeline").expect("timeline present");
         assert_eq!(tl.get("window").unwrap().as_u64(), Some(4));

@@ -24,8 +24,8 @@ use apir_core::{IndexTuple, ProgramInput, MAX_FIELDS};
 use apir_sim::delay::OutOfOrderStation;
 use apir_sim::fifo::Fifo;
 use apir_sim::metrics::{
-    CounterId, GaugeId, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
-    HISTOGRAM_BUCKETS,
+    stall_level, CounterId, GaugeId, Histogram, LevelStat, MetricValue, MetricsRegistry,
+    MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 use apir_sim::seconds_from_cycles;
 use apir_sim::stats::{Activity, ActivityTracker, StallCause, UtilizationSummary};
@@ -215,7 +215,8 @@ impl FabricReport {
 }
 
 /// Pre-registered handles for the fabric-level metric keys; component
-/// keys live in [`MemMetrics`], [`QueueMetrics`], [`RuleMetrics`].
+/// keys live in [`MemMetrics`], [`QueueMetrics`], [`RuleMetrics`]. The
+/// per-cycle statistics of component levels live in `levels`.
 struct FabricMetricIds {
     cycles: CounterId,
     busy: CounterId,
@@ -233,10 +234,27 @@ struct FabricMetricIds {
     mem: MemMetrics,
     rules: Vec<RuleMetrics>,
     faults: FaultMetrics,
+    /// Every level statistic, in the order [`live_levels`] reads the
+    /// levels: per queue its occupancy then its stall, the memory
+    /// subsystem's in-flight count then its stall, per rule engine its
+    /// stall.
+    levels: Vec<LevelStat>,
 }
 
 impl FabricMetricIds {
     fn register(m: &mut MetricsRegistry, spec: &Spec) -> Self {
+        let mut levels = Vec::new();
+        let queues = spec
+            .task_sets()
+            .iter()
+            .map(|t| QueueMetrics::register(m, &t.name, &mut levels))
+            .collect();
+        let mem = MemMetrics::register(m, &mut levels);
+        let rules = spec
+            .rules()
+            .iter()
+            .map(|r| RuleMetrics::register(m, &r.name, &mut levels))
+            .collect();
         FabricMetricIds {
             cycles: m.counter("fabric.cycles"),
             busy: m.counter("fabric.busy"),
@@ -256,20 +274,27 @@ impl FabricMetricIds {
             bounces: m.counter("fabric.bounces"),
             extern_calls: m.counter("fabric.extern_calls"),
             utilization: m.gauge("fabric.utilization"),
-            queues: spec
-                .task_sets()
-                .iter()
-                .map(|t| QueueMetrics::register(m, &t.name))
-                .collect(),
-            mem: MemMetrics::register(m),
-            rules: spec
-                .rules()
-                .iter()
-                .map(|r| RuleMetrics::register(m, &r.name))
-                .collect(),
+            queues,
+            mem,
+            rules,
             faults: FaultMetrics::register(m),
+            levels,
         }
     }
+}
+
+/// The live value of every level statistic, in the order of
+/// [`FabricMetricIds::levels`]. Each is O(1) to read.
+fn live_levels<'a>(
+    queues: &'a [TaskQueue],
+    mem: &'a MemorySubsystem,
+    engines: &'a [RuleEngine],
+) -> impl Iterator<Item = u64> + 'a {
+    queues
+        .iter()
+        .flat_map(|q| [q.len() as u64, stall_level(q.stall_cause())])
+        .chain([mem.inflight() as u64, stall_level(mem.stall_cause())])
+        .chain(engines.iter().map(|e| stall_level(e.stall_cause())))
 }
 
 /// Metric handles for the rollback-recovery path, registered only when
@@ -470,13 +495,12 @@ pub struct Fabric {
     rollback_events: Vec<(u64, u64)>,
     /// `fault.rollback.*` metric handles, when recovery is armed.
     mids_rollback: Option<RollbackIds>,
+    /// The registered metric keys. Values are never written here: each
+    /// report or snapshot renders a copy ([`Fabric::metrics_view`]).
     metrics: MetricsRegistry,
     mids: FabricMetricIds,
     trace: Option<EventTrace>,
     timeline: Option<TimelineRecorder>,
-    /// Cumulative totals behind the last timeline observation; the
-    /// per-cycle delta against these becomes the next sample.
-    tl_prev: TimelineSample,
     tr_host: CompId,
     tr_mem: CompId,
     tr_fault: CompId,
@@ -616,7 +640,7 @@ impl Fabric {
         let lint_errors = lint.has_errors().then(|| lint.render_text());
         let timeline = (cfg.timeline_window > 0)
             .then(|| TimelineRecorder::new(cfg.timeline_window, cfg.timeline_capacity));
-        Fabric {
+        let mut fabric = Fabric {
             retired: vec![0; spec.task_sets().len()],
             spec: spec.clone(),
             cfg,
@@ -655,13 +679,14 @@ impl Fabric {
             mids,
             trace,
             timeline,
-            tl_prev: TimelineSample::default(),
             tr_host,
             tr_mem,
             tr_fault,
             tr_queues,
             tr_rules,
-        }
+        };
+        fabric.reseed_levels();
+        fabric
     }
 
     /// Runs the accelerator to quiescence.
@@ -849,11 +874,6 @@ impl Fabric {
         if let Some(plan) = self.mem.faults_mut() {
             plan.resalt_link(epoch);
         }
-        if let Some(ids) = &self.mids_rollback {
-            self.metrics.set_counter(ids.count, epoch);
-            self.metrics.set_counter(ids.replayed, self.rollback_replayed);
-            self.metrics.set_counter(ids.last_cycle, fail_cycle);
-        }
         if let Some(tr) = self.trace.as_mut() {
             tr.record(self.cycle, self.tr_fault, "rollback", epoch);
         }
@@ -960,6 +980,7 @@ impl Fabric {
     }
 
     fn into_report(mut self) -> FabricReport {
+        let mut metrics = self.metrics_view();
         let mut util = UtilizationSummary::new();
         let mut busy = 0u64;
         let mut stall = 0u64;
@@ -977,27 +998,28 @@ impl Fabric {
                 }
             }
         }
-        self.metrics.set_counter(self.mids.busy, busy);
-        self.metrics.set_counter(self.mids.stall, stall);
-        self.metrics.set_counter(self.mids.idle, idle);
+        metrics.set_counter(self.mids.busy, busy);
+        metrics.set_counter(self.mids.stall, stall);
+        metrics.set_counter(self.mids.idle, idle);
         for (&id, &c) in self.mids.stall_causes.iter().zip(causes.iter()) {
-            self.metrics.set_counter(id, c);
+            metrics.set_counter(id, c);
         }
-        self.metrics
-            .set_gauge(self.mids.utilization, util.pipeline_utilization());
-        let faults = self.fault_totals();
-        self.mids.faults.publish(&faults, &mut self.metrics);
+        metrics.set_gauge(self.mids.utilization, util.pipeline_utilization());
+        let timeline = self.timeline.take().map(|tl| {
+            let totals = self.timeline_totals(self.cycle);
+            tl.finish(self.cycle, totals)
+        });
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
                 count: self.rollbacks_done,
                 replayed_cycles: self.rollback_replayed,
                 events: self.rollback_events.clone(),
             }),
-            faults,
-            metrics: self.metrics.snapshot(),
+            faults: self.fault_totals(),
+            metrics: metrics.snapshot(),
             activity: util.clone(),
             trace: self.trace,
-            timeline: self.timeline.take().map(TimelineRecorder::finish),
+            timeline,
             cycles: self.cycle,
             seconds: seconds_from_cycles(self.cfg.clock_mhz, self.cycle),
             retired: self.retired,
@@ -1197,17 +1219,16 @@ impl Fabric {
         }
 
         // 8) Observability: trace deltas vs the start-of-tick snapshot,
-        // then publish this cycle's totals into the metrics registry.
+        // level statistics whose level moved, and a timeline window that
+        // closes on this cycle. Counters and gauges are read when a
+        // report or snapshot renders them.
         if let Some(snap) = snap {
             self.record_tick_deltas(now, &snap);
         }
-        self.publish_cycle();
-        if self.timeline.is_some() {
-            let cur = self.timeline_totals();
-            let delta = cur.delta_from(&self.tl_prev);
-            self.timeline.as_mut().expect("checked").observe(&delta);
-            self.tl_prev = cur;
+        for (stat, live) in self.levels_live() {
+            stat.update(now, live);
         }
+        self.close_timeline_windows();
 
         if progress {
             self.last_progress = self.cycle;
@@ -1218,7 +1239,52 @@ impl Fabric {
             self.active_sets_cover_work(),
             "a stage holding work is neither in its active set nor blocked asleep"
         );
+        debug_assert!(
+            self.accounting_levels_current(),
+            "a level statistic does not hold the live level it stands for"
+        );
         moved || progress
+    }
+
+    /// Does every level statistic hold the live value it stands for, and
+    /// do the components' O(1) counts behind those values match a scan?
+    fn accounting_levels_current(&self) -> bool {
+        self.mids
+            .levels
+            .iter()
+            .map(LevelStat::value)
+            .eq(live_levels(&self.queues, &self.mem, &self.engines))
+            && self.queues.iter().all(TaskQueue::counts_consistent)
+            && self.engines.iter().all(RuleEngine::counts_consistent)
+    }
+
+    /// Every level statistic, paired with the live value it stands for.
+    fn levels_live(&mut self) -> impl Iterator<Item = (&mut LevelStat, u64)> + '_ {
+        let live = live_levels(&self.queues, &self.mem, &self.engines);
+        self.mids.levels.iter_mut().zip(live)
+    }
+
+    /// Re-seeds every level statistic from the live state, with every
+    /// cycle through the current one credited (construction).
+    fn reseed_levels(&mut self) {
+        let now = self.cycle;
+        for (stat, live) in self.levels_live() {
+            stat.reseed(now, live);
+        }
+    }
+
+    /// Closes every timeline window whose last cycle the clock has
+    /// reached: one per boundary a tick or a quiescent jump crosses.
+    fn close_timeline_windows(&mut self) {
+        while let Some(at) = self
+            .timeline
+            .as_ref()
+            .map(TimelineRecorder::next_close)
+            .filter(|&at| at <= self.cycle)
+        {
+            let totals = self.timeline_totals(at);
+            self.timeline.as_mut().expect("checked").close(totals);
+        }
     }
 
     /// Does every stage that holds work — a latch occupant, a station
@@ -1251,14 +1317,15 @@ impl Fabric {
         })
     }
 
-    /// Cumulative totals feeding the timeline: per-cycle deltas of these
-    /// become the windowed samples. Everything here is monotone, so the
-    /// deltas are always well-defined.
-    fn timeline_totals(&self) -> TimelineSample {
+    /// Cumulative totals feeding the timeline at `cycle`, which is the
+    /// current cycle or one inside a quiescent jump that just ended: a
+    /// window's sample is their growth across it. Everything here is
+    /// monotone, so the growth is always well-defined.
+    fn timeline_totals(&self, cycle: u64) -> TimelineSample {
         let mut s = TimelineSample::default();
         for p in &self.pipelines {
             for st in &p.stages {
-                let t = st.tracker_at(self.cycle);
+                let t = st.tracker_at(cycle);
                 s.busy += t.busy;
                 s.stall += t.stall;
                 s.idle += t.idle;
@@ -1331,32 +1398,20 @@ impl Fabric {
         wake
     }
 
-    /// Jumps the clock forward `k` quiescent cycles, replaying exactly
-    /// the per-cycle side effects the dense loop would have produced:
-    /// bandwidth-credit accrual (bit-exact — see
-    /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]) and the
-    /// per-cycle occupancy histograms. A quiescent stage repeats the
-    /// state of the preceding tick, so no trace transition fires. Stage
-    /// accounting needs no replay: idle is derived from the clock, and a
-    /// waiting stage stalls for its last cause on every skipped cycle,
-    /// which is exactly a sleep that starts at the jump. Counters and
-    /// gauges other than `fabric.cycles` are level-valued, so
-    /// re-publishing them would be a no-op.
+    /// Jumps the clock forward `k` quiescent cycles. Nothing but the
+    /// clock moves in such a stretch, so that is nearly all this does:
+    /// the bandwidth meter accrues credit exactly as `k` ticks would
+    /// (bit-exact — see [`apir_sim::bandwidth::BandwidthMeter::tick_n`]),
+    /// waiting stages sleep from the jump on, and the timeline windows
+    /// the jump crosses close. A quiescent stage repeats the state of
+    /// the preceding tick, so no trace transition fires. Nothing else is
+    /// replayed: idle is derived from the clock, every level statistic
+    /// holds its unchanged level across the jump, and counters are read
+    /// when a report or snapshot renders them.
     fn fast_forward(&mut self, k: u64) {
         let from = self.cycle;
         self.cycle += k;
-        // The clock is the one counter a quiescent stretch moves; a run
-        // paused right after the jump must snapshot the moved value.
-        self.metrics.set_counter(self.mids.cycles, self.cycle);
         self.mem.fast_forward(k);
-        self.mem
-            .publish_skipped(&self.mids.mem, &mut self.metrics, k);
-        for (q, ids) in self.queues.iter().zip(self.mids.queues.iter()) {
-            q.publish_skipped(ids, &mut self.metrics, k);
-        }
-        for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
-            e.publish_skipped(ids, &mut self.metrics, k);
-        }
         // A waiting stage is asleep or in its pipeline's active set (only
         // a visit that ends idle or asleep removes one). The preceding
         // tick recorded a caused stall for each one in the set; from the
@@ -1375,21 +1430,7 @@ impl Fabric {
                 }
             }
         }
-        if let Some(tl) = self.timeline.as_mut() {
-            // Per-cycle delta of a quiescent cycle: no stage is busy,
-            // waiting stages (all asleep from the jump on) stall, the
-            // rest idle, and no retirement or memory traffic happens (any
-            // of those would have moved).
-            let stages = self.pipelines.iter().flat_map(|p| &p.stages);
-            let waiting = stages.clone().filter(|st| st.asleep.is_some()).count() as u64;
-            let delta = TimelineSample {
-                stall: waiting,
-                idle: stages.count() as u64 - waiting,
-                ..TimelineSample::default()
-            };
-            tl.observe_n(&delta, k);
-            self.tl_prev.add_scaled(&delta, k);
-        }
+        self.close_timeline_windows();
     }
 
     /// One lane-fault and one bank-fault trial per engine/queue. The
@@ -1511,12 +1552,16 @@ impl Fabric {
         }
     }
 
-    /// Syncs every registered metric with the component totals at the end
-    /// of the cycle. Gauges get the instantaneous value; occupancy
-    /// histograms get one observation per cycle.
-    fn publish_cycle(&mut self) {
-        let m = &mut self.metrics;
-        m.set_counter(self.mids.cycles, self.cycle);
+    /// The metrics registry as of the current cycle: every counter and
+    /// gauge read from its component's totals, and every level
+    /// statistic credited through this cycle. The pipelines' activity
+    /// counters (`fabric.busy`, `fabric.stall*`, `fabric.idle`,
+    /// `fabric.utilization`) are left as registered; the report sets
+    /// them.
+    fn metrics_view(&self) -> MetricsRegistry {
+        let mut m = self.metrics.clone();
+        let now = self.cycle;
+        m.set_counter(self.mids.cycles, now);
         for (id, &r) in self.mids.retired.iter().zip(self.retired.iter()) {
             m.set_counter(*id, r);
         }
@@ -1531,14 +1576,23 @@ impl Fabric {
             .sum();
         m.set_counter(self.mids.extern_calls, externs);
         for (q, ids) in self.queues.iter().zip(self.mids.queues.iter()) {
-            q.publish(ids, m);
+            q.publish(ids, &mut m);
         }
-        self.mem.publish(&self.mids.mem, m);
+        self.mem.publish(&self.mids.mem, &mut m);
         for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
-            e.publish(ids, m);
+            e.publish(ids, &mut m);
         }
-        let faults = self.fault_totals();
-        self.mids.faults.publish(&faults, &mut self.metrics);
+        for stat in &self.mids.levels {
+            stat.render(now, &mut m);
+        }
+        self.mids.faults.publish(&self.fault_totals(), &mut m);
+        if let Some(ids) = &self.mids_rollback {
+            m.set_counter(ids.count, self.rollbacks_done);
+            m.set_counter(ids.replayed, self.rollback_replayed);
+            let last = self.rollback_events.last().map_or(0, |&(fail, _)| fail);
+            m.set_counter(ids.last_cycle, last);
+        }
+        m
     }
 }
 
@@ -2107,6 +2161,9 @@ impl Fabric {
     /// `(spec, input, config)` triple is structural and omitted; see
     /// [`crate::snapshot`] for the contract.
     pub fn snapshot(&self) -> Json {
+        // The timeline is rendered from the totals at this cycle: the
+        // open window's growth so far, and the totals themselves.
+        let totals = self.tl_prev();
         Json::obj([
             ("schema", Json::str(SNAPSHOT_SCHEMA)),
             ("cycle", Json::U64(self.cycle)),
@@ -2204,13 +2261,15 @@ impl Fabric {
                 "pipelines",
                 Json::arr(self.pipelines.iter().map(|p| pipeline_json(p, self.cycle))),
             ),
-            ("metrics", metrics_json(&self.metrics.snapshot())),
+            ("metrics", metrics_json(&self.metrics_view().snapshot())),
             ("trace", self.trace.as_ref().map_or(Json::Null, trace_json)),
             (
                 "timeline",
-                self.timeline.as_ref().map_or(Json::Null, timeline_json),
+                self.timeline
+                    .as_ref()
+                    .map_or(Json::Null, |tl| timeline_json(tl, self.cycle, &totals)),
             ),
-            ("tl_prev", sample_json(&self.tl_prev)),
+            ("tl_prev", sample_json(&totals)),
         ])
     }
 
@@ -2391,7 +2450,8 @@ impl Fabric {
             e.restore_json(ej)?;
         }
 
-        self.mem.restore_json(snapshot::field(doc, "mem")?)?;
+        self.mem
+            .restore_json(snapshot::field(doc, "mem")?, self.resp.len())?;
 
         let pipelines = snapshot::arr_field(doc, "pipelines")?;
         if pipelines.len() != self.pipelines.len() {
@@ -2405,9 +2465,24 @@ impl Fabric {
             restore_pipeline(p, pj, pi, self.cycle)?;
         }
 
-        let entries = metrics_entries_from(snapshot::field(doc, "metrics")?)?;
-        self.metrics
-            .restore_values(&MetricsSnapshot::from_entries(entries))?;
+        let doc_metrics =
+            MetricsSnapshot::from_entries(metrics_entries_from(snapshot::field(doc, "metrics")?)?);
+        let mut restored = self.metrics.clone();
+        restored.restore_values(&doc_metrics)?;
+        let now = self.cycle;
+        for (stat, live) in self.levels_live() {
+            stat.load(&restored, now, live);
+        }
+        // Everything else in the metrics member is read from the state
+        // just restored; a document whose metrics disagree with it is
+        // rejected rather than half believed.
+        let view = self.metrics_view().snapshot();
+        let mut pairs = view.entries().iter().zip(doc_metrics.entries());
+        if let Some((_, (key, _))) = pairs.find(|(got, want)| got != want) {
+            return Err(format!(
+                "snapshot: metric `{key}` disagrees with the restored state"
+            ));
+        }
 
         match (&self.trace, snapshot::field(doc, "trace")?) {
             (None, Json::Null) => {}
@@ -2421,11 +2496,16 @@ impl Fabric {
             }
         }
 
+        let tl_prev = sample_from(snapshot::field(doc, "tl_prev")?, "tl_prev")?;
+        let totals = self.tl_prev();
+        if tl_prev != totals {
+            return Err("snapshot: tl_prev disagrees with the restored totals".into());
+        }
         match (&self.timeline, snapshot::field(doc, "timeline")?) {
             (None, Json::Null) => {}
             (Some(tl), tj @ Json::Obj(_)) => {
-                let (capacity, ..) = tl.state();
-                self.timeline = Some(timeline_from(tj, tl.window(), capacity)?);
+                let (window, capacity) = (tl.window(), tl.capacity());
+                self.timeline = Some(timeline_from(tj, window, capacity, self.cycle, &totals)?);
             }
             _ => {
                 return Err(
@@ -2433,9 +2513,16 @@ impl Fabric {
                 )
             }
         }
-
-        self.tl_prev = sample_from(snapshot::field(doc, "tl_prev")?, "tl_prev")?;
         Ok(())
+    }
+
+    /// The snapshot's `tl_prev`: the timeline totals at the current
+    /// cycle, all zero without a timeline.
+    fn tl_prev(&self) -> TimelineSample {
+        match self.timeline {
+            Some(_) => self.timeline_totals(self.cycle),
+            None => TimelineSample::default(),
+        }
     }
 
     /// Decodes and range-checks a task-set id.
@@ -2922,14 +3009,15 @@ fn trace_from(j: &Json, cap: usize) -> Result<EventTrace, String> {
     Ok(EventTrace::from_parts(cap, components, records, dropped, emitted))
 }
 
-/// Encodes the timeline recorder: the open window plus the closed ring.
-fn timeline_json(tl: &TimelineRecorder) -> Json {
-    let (_capacity, cur, cur_len, cur_start, dropped) = tl.state();
+/// Encodes the timeline recorder at `cycle`, given the totals there: the
+/// open window plus the closed ring.
+fn timeline_json(tl: &TimelineRecorder, cycle: u64, totals: &TimelineSample) -> Json {
+    let cur = tl.open_window(cycle, totals);
     Json::obj([
-        ("cur", sample_json(&cur)),
-        ("cur_len", Json::U64(cur_len)),
-        ("cur_start", Json::U64(cur_start)),
-        ("dropped", Json::U64(dropped)),
+        ("cur", sample_json(&cur.sample)),
+        ("cur_len", Json::U64(cur.cycles)),
+        ("cur_start", Json::U64(cur.start)),
+        ("dropped", Json::U64(tl.dropped())),
         (
             "ring",
             Json::arr(tl.ring().map(|w| {
@@ -2943,8 +3031,17 @@ fn timeline_json(tl: &TimelineRecorder) -> Json {
     ])
 }
 
-/// Decodes the timeline recorder against the structural window/capacity.
-fn timeline_from(j: &Json, window: u64, capacity: usize) -> Result<TimelineRecorder, String> {
+/// Decodes the timeline recorder against the structural window/capacity
+/// and the restored `cycle` with its `totals`: the open window must end
+/// at `cycle`, short of its boundary, and cannot have grown by more than
+/// the totals.
+fn timeline_from(
+    j: &Json,
+    window: u64,
+    capacity: usize,
+    cycle: u64,
+    totals: &TimelineSample,
+) -> Result<TimelineRecorder, String> {
     let mut ring = Vec::new();
     for w in snapshot::arr_field(j, "ring")? {
         let parts = snapshot::need_arr(w, "timeline window")?;
@@ -2963,12 +3060,23 @@ fn timeline_from(j: &Json, window: u64, capacity: usize) -> Result<TimelineRecor
             ring.len()
         ));
     }
+    let cur = sample_from(snapshot::field(j, "cur")?, "timeline cur")?;
+    let cur_len = snapshot::u64_field(j, "cur_len")?;
+    let cur_start = snapshot::u64_field(j, "cur_start")?;
+    if cur_start.checked_add(cur_len) != Some(cycle + 1) || cur_len >= window {
+        return Err(format!(
+            "snapshot: timeline window of {cur_len} cycles from cycle {cur_start} \
+             does not end at cycle {cycle}"
+        ));
+    }
+    let base = totals
+        .checked_delta_from(&cur)
+        .ok_or("snapshot: timeline cur exceeds the restored totals")?;
     Ok(TimelineRecorder::from_parts(
         window,
         capacity,
-        sample_from(snapshot::field(j, "cur")?, "timeline cur")?,
-        snapshot::u64_field(j, "cur_len")?,
-        snapshot::u64_field(j, "cur_start")?,
+        cur_start,
+        base,
         ring,
         snapshot::u64_field(j, "dropped")?,
     ))

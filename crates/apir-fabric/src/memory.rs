@@ -25,7 +25,7 @@ use apir_util::json::Json;
 use apir_sim::bandwidth::BandwidthMeter;
 use apir_sim::delay::DelayLine;
 use apir_sim::fifo::Fifo;
-use apir_sim::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+use apir_sim::metrics::{CounterId, GaugeId, LevelStat, MetricsRegistry};
 use apir_sim::stats::StallCause;
 use apir_sim::{cycles_from_ns, Cycle};
 use apir_core::{MemAccess, MemImage};
@@ -91,15 +91,21 @@ pub struct MemMetrics {
     misses: CounterId,
     qpi_bytes: CounterId,
     inflight: GaugeId,
-    inflight_hist: HistogramId,
-    stall: CounterId,
-    stall_mshr_full: CounterId,
-    stall_bandwidth: CounterId,
 }
 
 impl MemMetrics {
-    /// Registers the `mem.*` keys.
-    pub fn register(m: &mut MetricsRegistry) -> Self {
+    /// Registers the `mem.*` keys. The two per-cycle statistics are
+    /// levels, appended to `levels`: the in-flight histogram
+    /// ([`MemorySubsystem::inflight`]) and the admission stall counters
+    /// ([`MemorySubsystem::stall_cause`]).
+    pub fn register(m: &mut MetricsRegistry, levels: &mut Vec<LevelStat>) -> Self {
+        levels.push(LevelStat::histogram(m.histogram("mem.inflight_hist")));
+        let stall = m.counter("mem.stall");
+        let cause = |m: &mut MetricsRegistry, c: StallCause| {
+            (c, m.counter(&format!("mem.stall.{}", c.key())))
+        };
+        let causes = [cause(m, StallCause::MshrFull), cause(m, StallCause::Bandwidth)];
+        levels.push(LevelStat::stall(stall, causes));
         MemMetrics {
             reads: m.counter("mem.reads"),
             writes: m.counter("mem.writes"),
@@ -107,10 +113,6 @@ impl MemMetrics {
             misses: m.counter("mem.misses"),
             qpi_bytes: m.counter("mem.qpi_bytes"),
             inflight: m.gauge("mem.inflight"),
-            inflight_hist: m.histogram("mem.inflight_hist"),
-            stall: m.counter("mem.stall"),
-            stall_mshr_full: m.counter(&format!("mem.stall.{}", StallCause::MshrFull.key())),
-            stall_bandwidth: m.counter(&format!("mem.stall.{}", StallCause::Bandwidth.key())),
         }
     }
 }
@@ -345,35 +347,32 @@ impl MemorySubsystem {
         ages
     }
 
-    /// Publishes the per-cycle view into the metrics registry: the
-    /// running `MemStats` totals, occupancy (gauge + histogram), and the
-    /// admission-stall attribution — one `mem.stall` count per cycle the
-    /// front of the miss-wait queue stays blocked, split into
-    /// `mshr_full` (read blocked on the in-flight-miss bound) vs
-    /// `bandwidth` (blocked on link byte credits).
+    /// Writes the subsystem's totals into a registry view: the running
+    /// `MemStats` and the in-flight count. The per-cycle statistics are
+    /// levels (see [`MemMetrics::register`]).
     pub fn publish(&self, ids: &MemMetrics, m: &mut MetricsRegistry) {
         m.set_counter(ids.reads, self.stats.reads);
         m.set_counter(ids.writes, self.stats.writes);
         m.set_counter(ids.hits, self.stats.hits);
         m.set_counter(ids.misses, self.stats.misses);
         m.set_counter(ids.qpi_bytes, self.stats.qpi_bytes);
-        let inflight = self.inflight() as u64;
-        m.set_gauge(ids.inflight, inflight as f64);
-        m.observe(ids.inflight_hist, inflight);
-        self.publish_stall(ids, m, 1);
+        m.set_gauge(ids.inflight, self.inflight() as f64);
     }
 
-    fn publish_stall(&self, ids: &MemMetrics, m: &mut MetricsRegistry, n: u64) {
-        let Some(front) = self.miss_wait.front() else {
-            return;
-        };
-        m.inc(ids.stall, n);
+    /// Why the front of the miss-wait queue is blocked, if anything
+    /// waits there: `MshrFull` for a read held by the in-flight-miss
+    /// bound, `Bandwidth` for one held by link byte credits. One stall
+    /// is counted per cycle this holds at the end of a tick.
+    pub fn stall_cause(&self) -> Option<StallCause> {
+        let front = self.miss_wait.front()?;
         let is_write = front.req.write.is_some();
-        if !is_write && self.miss_pipe.len() >= self.cfg.max_inflight_misses {
-            m.inc(ids.stall_mshr_full, n);
-        } else {
-            m.inc(ids.stall_bandwidth, n);
-        }
+        Some(
+            if !is_write && self.miss_pipe.len() >= self.cfg.max_inflight_misses {
+                StallCause::MshrFull
+            } else {
+                StallCause::Bandwidth
+            },
+        )
     }
 
     /// Is anything in flight?
@@ -612,14 +611,6 @@ impl MemorySubsystem {
         self.qpi.tick_n(n);
     }
 
-    /// Replays the per-cycle occupancy observation and admission-stall
-    /// attribution for `n` skipped cycles (neither the in-flight census
-    /// nor the blocked front can change while the fabric is quiescent).
-    pub fn publish_skipped(&self, ids: &MemMetrics, m: &mut MetricsRegistry, n: u64) {
-        m.observe_n(ids.inflight_hist, self.inflight() as u64, n);
-        self.publish_stall(ids, m, n);
-    }
-
     fn complete(&mut self, req: MemReq) -> (u32, u64, u64) {
         let word = match req.write {
             None => self.image.read(req.region, req.offset),
@@ -804,16 +795,11 @@ impl MemorySubsystem {
 
     /// Restores state captured by [`MemorySubsystem::snapshot_json`] into
     /// a structurally identical subsystem (same config, same image
-    /// layout).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let miss_from = |e: &Json| -> Result<MissEntry, String> {
-            Ok(MissEntry {
-                req: snapshot::memreq_from(snapshot::field(e, "q")?)?,
-                retries: snapshot::u64_field(e, "r")? as u32,
-                born: snapshot::u64_field(e, "b")?,
-                refetch: snapshot::bool_field(e, "f")?,
-            })
-        };
+    /// layout). Every in-flight request must address a word of the image
+    /// and answer on one of the fabric's `ports` response ports; one that
+    /// does not is rejected with its document path (`/mem/...`), since
+    /// completing it would read out of bounds or deliver nowhere.
+    pub(crate) fn restore_json(&mut self, j: &Json, ports: usize) -> Result<(), String> {
         let regions = snapshot::arr_field(j, "image")?;
         if regions.len() != self.image.region_count() {
             return Err(format!(
@@ -839,58 +825,101 @@ impl MemorySubsystem {
             return Err("snapshot: tag array size mismatch".into());
         }
         self.tags.tags = tags;
+        let image = &self.image;
+        let req_at = |rj: &Json, path: String| -> Result<MemReq, String> {
+            let req = snapshot::memreq_from(rj)?;
+            let region = req.region.0;
+            if region >= image.region_count() {
+                return Err(format!(
+                    "snapshot: {path}/r: region {region} out of range ({} regions)",
+                    image.region_count()
+                ));
+            }
+            let words = image.region(req.region).len();
+            if req.offset >= words as u64 {
+                return Err(format!(
+                    "snapshot: {path}/o: offset {} outside region {region} ({words} words)",
+                    req.offset
+                ));
+            }
+            if req.port as usize >= ports {
+                return Err(format!(
+                    "snapshot: {path}/p: port {} out of range ({ports} ports)",
+                    req.port
+                ));
+            }
+            Ok(req)
+        };
+        let miss_at = |e: &Json, path: String| -> Result<MissEntry, String> {
+            Ok(MissEntry {
+                req: req_at(snapshot::field(e, "q")?, format!("{path}/q"))?,
+                retries: snapshot::u64_field(e, "r")? as u32,
+                born: snapshot::u64_field(e, "b")?,
+                refetch: snapshot::bool_field(e, "f")?,
+            })
+        };
         let reqs = snapshot::field(j, "requests")?;
         let decode_reqs = |key: &str| -> Result<Vec<MemReq>, String> {
             snapshot::arr_field(reqs, key)?
                 .iter()
-                .map(snapshot::memreq_from)
+                .enumerate()
+                .map(|(i, r)| req_at(r, format!("/mem/requests/{key}[{i}]")))
                 .collect()
         };
-        self.requests = Fifo::from_parts(
-            self.requests.capacity(),
-            decode_reqs("v")?,
-            decode_reqs("s")?,
-        );
+        let (visible, staged) = (decode_reqs("v")?, decode_reqs("s")?);
+        let cap = self.requests.capacity();
+        if visible.len() + staged.len() > cap {
+            return Err(format!(
+                "snapshot: /mem/requests holds {} requests, capacity {cap}",
+                visible.len() + staged.len()
+            ));
+        }
+        self.requests = Fifo::from_parts(cap, visible, staged);
         let decode_req_pipe = |key: &str| -> Result<Vec<(Cycle, MemReq)>, String> {
             snapshot::arr_field(j, key)?
                 .iter()
-                .map(|p| {
+                .enumerate()
+                .map(|(i, p)| {
                     let pair = snapshot::need_arr(p, key)?;
                     let [c, r] = pair else {
                         return Err(format!("snapshot: malformed `{key}` entry"));
                     };
-                    Ok((snapshot::need_u64(c, key)?, snapshot::memreq_from(r)?))
+                    Ok((
+                        snapshot::need_u64(c, key)?,
+                        req_at(r, format!("/mem/{key}[{i}][1]"))?,
+                    ))
                 })
                 .collect()
         };
         self.hit_pipe = DelayLine::from_parts(self.hit_pipe.latency(), decode_req_pipe("hit_pipe")?);
         self.write_pipe =
             DelayLine::from_parts(self.write_pipe.latency(), decode_req_pipe("write_pipe")?);
-        let miss_entries: Vec<(Cycle, MissEntry)> = snapshot::arr_field(j, "miss_pipe")?
+        let decode_miss_pipe = |key: &str| -> Result<Vec<(Cycle, MissEntry)>, String> {
+            snapshot::arr_field(j, key)?
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let pair = snapshot::need_arr(p, key)?;
+                    let [c, e] = pair else {
+                        return Err(format!("snapshot: malformed `{key}` entry"));
+                    };
+                    Ok((
+                        snapshot::need_u64(c, key)?,
+                        miss_at(e, format!("/mem/{key}[{i}][1]"))?,
+                    ))
+                })
+                .collect()
+        };
+        let miss_pipe = decode_miss_pipe("miss_pipe")?;
+        let lost = decode_miss_pipe("lost")?;
+        let miss_wait = snapshot::arr_field(j, "miss_wait")?
             .iter()
-            .map(|p| {
-                let pair = snapshot::need_arr(p, "miss_pipe")?;
-                let [c, e] = pair else {
-                    return Err("snapshot: malformed `miss_pipe` entry".to_string());
-                };
-                Ok((snapshot::need_u64(c, "miss_pipe")?, miss_from(e)?))
-            })
+            .enumerate()
+            .map(|(i, e)| miss_at(e, format!("/mem/miss_wait[{i}]")))
             .collect::<Result<_, String>>()?;
-        self.miss_pipe = DelayLine::from_parts(self.miss_pipe.latency(), miss_entries);
-        self.miss_wait = snapshot::arr_field(j, "miss_wait")?
-            .iter()
-            .map(miss_from)
-            .collect::<Result<_, String>>()?;
-        self.lost = snapshot::arr_field(j, "lost")?
-            .iter()
-            .map(|p| {
-                let pair = snapshot::need_arr(p, "lost")?;
-                let [at, e] = pair else {
-                    return Err("snapshot: malformed `lost` entry".to_string());
-                };
-                Ok((snapshot::need_u64(at, "lost")?, miss_from(e)?))
-            })
-            .collect::<Result<_, String>>()?;
+        self.miss_pipe = DelayLine::from_parts(self.miss_pipe.latency(), miss_pipe);
+        self.miss_wait = miss_wait;
+        self.lost = lost;
         let lf = snapshot::field(j, "link_failed")?;
         self.link_failed = match lf {
             Json::Null => None,

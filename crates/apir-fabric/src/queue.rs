@@ -13,7 +13,7 @@ use apir_core::spec::TaskSetKind;
 use apir_core::IndexTuple;
 use apir_sim::fifo::Fifo;
 use apir_util::json::Json;
-use apir_sim::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+use apir_sim::metrics::{CounterId, GaugeId, LevelStat, MetricsRegistry};
 use apir_sim::stats::StallCause;
 
 /// Handles for one task queue's stable metric keys
@@ -22,30 +22,28 @@ use apir_sim::stats::StallCause;
 pub struct QueueMetrics {
     pushed: CounterId,
     occupancy: GaugeId,
-    occupancy_hist: HistogramId,
     peak: GaugeId,
-    stall: CounterId,
-    stall_queue_full: CounterId,
-    stall_reserve_full: CounterId,
 }
 
 impl QueueMetrics {
-    /// Registers the `queue.<name>.*` keys for the task set `name`.
-    pub fn register(m: &mut MetricsRegistry, name: &str) -> Self {
+    /// Registers the `queue.<name>.*` keys for the task set `name`. The
+    /// two per-cycle statistics are levels, appended to `levels`: the
+    /// occupancy histogram ([`TaskQueue::len`]) and the backpressure
+    /// stall counters ([`TaskQueue::stall_cause`]).
+    pub fn register(m: &mut MetricsRegistry, name: &str, levels: &mut Vec<LevelStat>) -> Self {
+        levels.push(LevelStat::histogram(
+            m.histogram(&format!("queue.{name}.occupancy_hist")),
+        ));
+        let stall = m.counter(&format!("queue.{name}.stall"));
+        let cause = |m: &mut MetricsRegistry, c: StallCause| {
+            (c, m.counter(&format!("queue.{name}.stall.{}", c.key())))
+        };
+        let causes = [cause(m, StallCause::QueueFull), cause(m, StallCause::ReserveFull)];
+        levels.push(LevelStat::stall(stall, causes));
         QueueMetrics {
             pushed: m.counter(&format!("queue.{name}.pushed")),
             occupancy: m.gauge(&format!("queue.{name}.occupancy")),
-            occupancy_hist: m.histogram(&format!("queue.{name}.occupancy_hist")),
             peak: m.gauge(&format!("queue.{name}.peak")),
-            stall: m.counter(&format!("queue.{name}.stall")),
-            stall_queue_full: m.counter(&format!(
-                "queue.{name}.stall.{}",
-                StallCause::QueueFull.key()
-            )),
-            stall_reserve_full: m.counter(&format!(
-                "queue.{name}.stall.{}",
-                StallCause::ReserveFull.key()
-            )),
         }
     }
 }
@@ -56,6 +54,10 @@ pub struct TaskQueue {
     kind: TaskSetKind,
     level: usize,
     banks: Vec<Fifo<TaskToken>>,
+    /// Entries in all banks, visible and staged.
+    len: usize,
+    /// Visible (poppable) entries in all banks.
+    visible: usize,
     counter: u64,
     push_rr: usize,
     pop_rr: usize,
@@ -70,7 +72,9 @@ pub struct TaskQueue {
     /// capacity when a bank fault masks one out).
     per_bank: usize,
     /// Banks masked out by injected hard faults; the allocator and the
-    /// pop rotation skip them.
+    /// pop rotation skip them. A masked bank is always empty, so every
+    /// live bank holds `per_bank` entries at most and `capacity` is
+    /// `per_bank` times the live banks.
     masked: Vec<bool>,
 }
 
@@ -88,6 +92,8 @@ impl TaskQueue {
             kind,
             level,
             banks: (0..banks).map(|_| Fifo::new(per)).collect(),
+            len: 0,
+            visible: 0,
             counter: 0,
             push_rr: 0,
             pop_rr: 0,
@@ -108,31 +114,39 @@ impl TaskQueue {
 
     /// Entries currently queued (visible + staged).
     pub fn len(&self) -> usize {
-        self.banks.iter().map(Fifo::len).sum()
+        self.len
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.banks.iter().all(Fifo::is_empty)
+        self.len == 0
     }
 
     /// Can one more ordinary task be pushed this cycle (leaving the
     /// recirculation reserve free)?
     pub fn can_push(&self) -> bool {
-        self.len() + self.reserve < self.capacity
-            && self
-                .banks
-                .iter()
-                .zip(&self.masked)
-                .any(|(b, &m)| !m && b.can_push())
+        self.len + self.reserve < self.capacity
     }
 
-    /// Can a recirculated task be pushed this cycle?
+    /// Can a recirculated task be pushed this cycle? Some live bank has
+    /// room exactly when the live banks, all of one size, are not all
+    /// full.
     pub fn can_push_reserved(&self) -> bool {
-        self.banks
-            .iter()
-            .zip(&self.masked)
-            .any(|(b, &m)| !m && b.can_push())
+        self.len < self.capacity
+    }
+
+    /// Why an ordinary push would be refused right now, if it would:
+    /// `QueueFull` when no bank has room, `ReserveFull` when only the
+    /// recirculation reserve is left. One stall is counted per cycle
+    /// this holds at the end of a tick.
+    pub fn stall_cause(&self) -> Option<StallCause> {
+        if self.can_push() {
+            None
+        } else if self.can_push_reserved() {
+            Some(StallCause::ReserveFull)
+        } else {
+            Some(StallCause::QueueFull)
+        }
     }
 
     /// Banks still in service (not masked by an injected fault).
@@ -159,7 +173,10 @@ impl TaskQueue {
         let victim = live[(pick % live.len() as u64) as usize];
         self.masked[victim] = true;
         self.capacity = self.per_bank * (live.len() - 1);
-        Some(self.banks[victim].drain_all())
+        self.visible -= self.banks[victim].visible();
+        let drained = self.banks[victim].drain_all();
+        self.len -= drained.len();
+        Some(drained)
     }
 
     /// Peak occupancy observed.
@@ -210,32 +227,49 @@ impl TaskQueue {
         self.push_token(token)
     }
 
+    /// The bank after `b` in rotation order.
+    fn next_bank(&self, b: usize) -> usize {
+        if b + 1 == self.banks.len() {
+            0
+        } else {
+            b + 1
+        }
+    }
+
     fn push_token(&mut self, token: TaskToken) -> bool {
-        let n = self.banks.len();
-        for k in 0..n {
-            let b = (self.push_rr + k) % n;
+        if !self.can_push_reserved() {
+            return false;
+        }
+        let mut b = self.push_rr;
+        for _ in 0..self.banks.len() {
             if !self.masked[b] && self.banks[b].try_push(token) {
-                self.push_rr = (b + 1) % n;
+                self.push_rr = self.next_bank(b);
                 self.pushed_total += 1;
-                self.peak = self.peak.max(self.len());
+                self.len += 1;
+                self.peak = self.peak.max(self.len);
                 return true;
             }
+            b = self.next_bank(b);
         }
         false
     }
 
     /// Pops the next task, rotating across banks.
     pub fn pop(&mut self) -> Option<TaskToken> {
-        let n = self.banks.len();
-        for k in 0..n {
-            let b = (self.pop_rr + k) % n;
-            if self.masked[b] {
-                continue;
+        if self.visible == 0 {
+            return None;
+        }
+        let mut b = self.pop_rr;
+        for _ in 0..self.banks.len() {
+            if !self.masked[b] {
+                if let Some(t) = self.banks[b].pop() {
+                    self.pop_rr = self.next_bank(b);
+                    self.visible -= 1;
+                    self.len -= 1;
+                    return Some(t);
+                }
             }
-            if let Some(t) = self.banks[b].pop() {
-                self.pop_rr = (b + 1) % n;
-                return Some(t);
-            }
+            b = self.next_bank(b);
         }
         None
     }
@@ -250,48 +284,44 @@ impl TaskQueue {
             .min()
     }
 
-    /// Publishes the per-cycle view into the metrics registry: total
-    /// pushes, occupancy (gauge + histogram), the peak, and the
-    /// backpressure attribution — one `queue.<name>.stall` count per
-    /// cycle an ordinary push would be refused, split into `queue_full`
-    /// (no bank has room) vs `reserve_full` (only the recirculation
-    /// reserve margin is left).
+    /// Writes the queue's totals into a registry view: pushes,
+    /// occupancy and the peak. The per-cycle statistics are levels
+    /// (see [`QueueMetrics::register`]).
     pub fn publish(&self, ids: &QueueMetrics, m: &mut MetricsRegistry) {
         m.set_counter(ids.pushed, self.pushed_total);
-        let occ = self.len() as u64;
-        m.set_gauge(ids.occupancy, occ as f64);
-        m.observe(ids.occupancy_hist, occ);
+        m.set_gauge(ids.occupancy, self.len as f64);
         m.set_gauge(ids.peak, self.peak as f64);
-        self.publish_stall(ids, m, 1);
-    }
-
-    /// Publishes `n` skipped quiescent cycles in O(1): the occupancy
-    /// histogram gets `n` observations at the current (unchanging)
-    /// occupancy, and the per-cycle stall attribution is replayed `n`
-    /// times against the frozen state. Level-valued counters and gauges
-    /// need no replay.
-    pub fn publish_skipped(&self, ids: &QueueMetrics, m: &mut MetricsRegistry, n: u64) {
-        m.observe_n(ids.occupancy_hist, self.len() as u64, n);
-        self.publish_stall(ids, m, n);
-    }
-
-    fn publish_stall(&self, ids: &QueueMetrics, m: &mut MetricsRegistry, n: u64) {
-        if self.can_push() {
-            return;
-        }
-        m.inc(ids.stall, n);
-        if self.can_push_reserved() {
-            m.inc(ids.stall_reserve_full, n);
-        } else {
-            m.inc(ids.stall_queue_full, n);
-        }
     }
 
     /// End-of-cycle commit of all banks.
     pub fn commit(&mut self) {
+        if self.visible == self.len {
+            return;
+        }
         for b in &mut self.banks {
             b.commit();
         }
+        self.visible = self.len;
+    }
+
+    /// `(len, visible)` by a scan of the banks.
+    fn scan_counts(&self) -> (usize, usize) {
+        self.banks
+            .iter()
+            .fold((0, 0), |(n, v), b| (n + b.len(), v + b.visible()))
+    }
+
+    /// Do the kept counts match a scan of the banks, does every masked
+    /// bank hold nothing, and is the capacity that of the live banks?
+    /// (Debug invariant.)
+    pub(crate) fn counts_consistent(&self) -> bool {
+        (self.len, self.visible) == self.scan_counts()
+            && self
+                .banks
+                .iter()
+                .zip(&self.masked)
+                .all(|(b, &m)| !m || b.is_empty())
+            && self.capacity == self.per_bank * self.live_banks()
     }
 
     /// Serializes the queue's mutable state (bank contents, allocator
@@ -358,6 +388,16 @@ impl TaskQueue {
             return Err("snapshot: queue mask length mismatch".into());
         }
         self.masked = masked;
+        (self.len, self.visible) = self.scan_counts();
+        if !self.counts_consistent() {
+            return Err(format!(
+                "snapshot: queue capacity {} does not match {} live banks of {}, \
+                 or a masked bank holds tasks",
+                self.capacity,
+                self.live_banks(),
+                self.per_bank
+            ));
+        }
         Ok(())
     }
 }

@@ -11,7 +11,7 @@
 
 use apir_core::expr::EvalCtx;
 use apir_core::rule::{EcaClause, EventPat, RuleAction, RuleDecl, RuleMode};
-use apir_sim::metrics::{CounterId, GaugeId, MetricsRegistry};
+use apir_sim::metrics::{CounterId, GaugeId, LevelStat, MetricsRegistry};
 use apir_sim::stats::StallCause;
 use std::sync::Arc;
 use apir_core::{IndexTuple, MAX_FIELDS};
@@ -70,14 +70,19 @@ pub struct RuleMetrics {
     evictions: CounterId,
     occupied: GaugeId,
     peak_lanes: GaugeId,
-    stall: CounterId,
-    stall_lane_busy: CounterId,
-    stall_lane_masked: CounterId,
 }
 
 impl RuleMetrics {
-    /// Registers the `rule.<name>.*` keys for the rule `name`.
-    pub fn register(m: &mut MetricsRegistry, name: &str) -> Self {
+    /// Registers the `rule.<name>.*` keys for the rule `name`. The
+    /// saturation stall counters are a level, appended to `levels`
+    /// ([`RuleEngine::stall_cause`]).
+    pub fn register(m: &mut MetricsRegistry, name: &str, levels: &mut Vec<LevelStat>) -> Self {
+        let stall = m.counter(&format!("rule.{name}.stall"));
+        let cause = |m: &mut MetricsRegistry, c: StallCause| {
+            (c, m.counter(&format!("rule.{name}.stall.{}", c.key())))
+        };
+        let causes = [cause(m, StallCause::LaneBusy), cause(m, StallCause::LaneMasked)];
+        levels.push(LevelStat::stall(stall, causes));
         RuleMetrics {
             allocs: m.counter(&format!("rule.{name}.allocs")),
             nacks: m.counter(&format!("rule.{name}.nacks")),
@@ -86,15 +91,6 @@ impl RuleMetrics {
             evictions: m.counter(&format!("rule.{name}.evictions")),
             occupied: m.gauge(&format!("rule.{name}.occupied")),
             peak_lanes: m.gauge(&format!("rule.{name}.peak_lanes")),
-            stall: m.counter(&format!("rule.{name}.stall")),
-            stall_lane_busy: m.counter(&format!(
-                "rule.{name}.stall.{}",
-                StallCause::LaneBusy.key()
-            )),
-            stall_lane_masked: m.counter(&format!(
-                "rule.{name}.stall.{}",
-                StallCause::LaneMasked.key()
-            )),
         }
     }
 }
@@ -129,6 +125,10 @@ pub struct RuleEngine {
     /// Lanes masked out by injected hard faults; the allocator never
     /// grants them (they are always empty once drained).
     masked: Vec<bool>,
+    /// Occupied lanes.
+    occupied: usize,
+    /// Lanes that are neither occupied nor masked.
+    free_live: usize,
     stats: RuleEngineStats,
 }
 
@@ -142,6 +142,8 @@ impl RuleEngine {
             returns: HashMap::new(),
             evicted_returns: Vec::new(),
             masked: vec![false; lanes.max(1)],
+            occupied: 0,
+            free_live: lanes.max(1),
             stats: RuleEngineStats::default(),
         }
     }
@@ -158,7 +160,59 @@ impl RuleEngine {
 
     /// Occupied lanes.
     pub fn occupied(&self) -> usize {
-        self.lanes.iter().filter(|l| l.is_some()).count()
+        self.occupied
+    }
+
+    /// Why an alloc would find no free lane right now, if it would:
+    /// `LaneMasked` when fault masking removed lanes, `LaneBusy` when
+    /// every lane is genuinely held. One stall is counted per cycle this
+    /// holds at the end of a tick. Masked lanes are always empty, so
+    /// some are masked exactly when fewer than all lanes are occupied.
+    pub fn stall_cause(&self) -> Option<StallCause> {
+        if self.free_live > 0 {
+            None
+        } else if self.occupied < self.lanes.len() {
+            Some(StallCause::LaneMasked)
+        } else {
+            Some(StallCause::LaneBusy)
+        }
+    }
+
+    /// Puts `lane` into the free live lane `i`.
+    fn fill(&mut self, i: usize, lane: Lane) {
+        debug_assert!(self.lanes[i].is_none() && !self.masked[i], "lane {i} not free");
+        self.lanes[i] = Some(lane);
+        self.occupied += 1;
+        self.free_live -= 1;
+    }
+
+    /// Empties lane `i` (never a masked one: those are always empty),
+    /// returning its occupant.
+    fn vacate(&mut self, i: usize) -> Option<Lane> {
+        let lane = self.lanes[i].take();
+        if lane.is_some() {
+            self.occupied -= 1;
+            self.free_live += 1;
+        }
+        lane
+    }
+
+    /// `(occupied, free_live)` by a scan of the lanes.
+    fn scan_counts(&self) -> (usize, usize) {
+        let free_live = self
+            .lanes
+            .iter()
+            .zip(&self.masked)
+            .filter(|(l, &m)| !m && l.is_none())
+            .count();
+        (self.lanes.iter().filter(|l| l.is_some()).count(), free_live)
+    }
+
+    /// Do the kept lane counts match a scan, and is every masked lane
+    /// empty? (Debug invariant.)
+    pub(crate) fn counts_consistent(&self) -> bool {
+        (self.occupied, self.free_live) == self.scan_counts()
+            && self.lanes.iter().zip(&self.masked).all(|(l, &m)| !m || l.is_none())
     }
 
     /// Lanes still in service (not masked by an injected fault).
@@ -186,6 +240,7 @@ impl RuleEngine {
             self.release(victim, false, out);
         }
         self.masked[victim] = true;
+        self.free_live -= 1;
         Some(drained)
     }
 
@@ -208,45 +263,17 @@ impl RuleEngine {
         true
     }
 
-    /// Publishes the per-cycle view into the metrics registry: the
-    /// running `RuleEngineStats` totals plus current lane occupancy, and
-    /// the saturation attribution — one `rule.<name>.stall` count per
-    /// cycle no live lane is free, split into `lane_masked` (fault
-    /// masking removed lanes that would otherwise be free) vs
-    /// `lane_busy` (every lane genuinely held).
+    /// Writes the engine's totals into a registry view: the running
+    /// `RuleEngineStats` plus current lane occupancy. The saturation
+    /// stall is a level (see [`RuleMetrics::register`]).
     pub fn publish(&self, ids: &RuleMetrics, m: &mut MetricsRegistry) {
         m.set_counter(ids.allocs, self.stats.allocs);
         m.set_counter(ids.nacks, self.stats.alloc_stalls);
         m.set_counter(ids.clause_fires, self.stats.clause_fires);
         m.set_counter(ids.otherwise_fires, self.stats.otherwise_fires);
         m.set_counter(ids.evictions, self.stats.evictions);
-        m.set_gauge(ids.occupied, self.occupied() as f64);
+        m.set_gauge(ids.occupied, self.occupied as f64);
         m.set_gauge(ids.peak_lanes, self.stats.peak_lanes as f64);
-        self.publish_stall(ids, m, 1);
-    }
-
-    /// Publishes `n` skipped quiescent cycles in O(1): the per-cycle
-    /// saturation attribution replayed against the frozen lane state.
-    /// The running totals and gauges are level-valued and need no replay.
-    pub fn publish_skipped(&self, ids: &RuleMetrics, m: &mut MetricsRegistry, n: u64) {
-        self.publish_stall(ids, m, n);
-    }
-
-    fn publish_stall(&self, ids: &RuleMetrics, m: &mut MetricsRegistry, n: u64) {
-        let free_live = self
-            .lanes
-            .iter()
-            .zip(&self.masked)
-            .any(|(l, &masked)| !masked && l.is_none());
-        if free_live {
-            return;
-        }
-        m.inc(ids.stall, n);
-        if self.masked.iter().any(|&masked| masked) {
-            m.inc(ids.stall_lane_masked, n);
-        } else {
-            m.inc(ids.stall_lane_busy, n);
-        }
     }
 
     /// Allocates a lane for a rule instance, never blocking: if all lanes
@@ -268,7 +295,9 @@ impl RuleEngine {
             self.stats.allocs += 1;
             return AllocOutcome::Granted;
         }
-        let free = (0..self.lanes.len()).find(|&i| self.lanes[i].is_none() && !self.masked[i]);
+        let free = (self.free_live > 0)
+            .then(|| (0..self.lanes.len()).find(|&i| self.lanes[i].is_none() && !self.masked[i]))
+            .flatten();
         let slot_idx = match free {
             Some(i) => i,
             None => {
@@ -301,7 +330,7 @@ impl RuleEngine {
                 }
             }
         };
-        self.lanes[slot_idx] = Some(Lane {
+        let lane = Lane {
             parent_index,
             parent_seq,
             params,
@@ -309,10 +338,10 @@ impl RuleEngine {
             verdict: self.decl.otherwise,
             countdown,
             claimed_port: None,
-        });
+        };
+        self.fill(slot_idx, lane);
         self.stats.allocs += 1;
-        let occ = self.occupied() as u64;
-        self.stats.peak_lanes = self.stats.peak_lanes.max(occ);
+        self.stats.peak_lanes = self.stats.peak_lanes.max(self.occupied as u64);
         AllocOutcome::Granted
     }
 
@@ -321,9 +350,9 @@ impl RuleEngine {
     /// Idempotent; a no-op if the value was already delivered.
     pub fn cancel(&mut self, tag: u64) {
         self.returns.remove(&tag);
-        for l in &mut self.lanes {
-            if l.as_ref().is_some_and(|l| l.tag == tag) {
-                *l = None;
+        for i in 0..self.lanes.len() {
+            if self.lanes[i].as_ref().is_some_and(|l| l.tag == tag) {
+                self.vacate(i);
             }
         }
     }
@@ -345,7 +374,7 @@ impl RuleEngine {
         };
         match self.decl.mode {
             RuleMode::Immediate => {
-                let lane = self.lanes[idx].take().expect("lane present");
+                let lane = self.vacate(idx).expect("lane present");
                 ClaimOutcome::Ready(lane.verdict)
             }
             RuleMode::Waiting => {
@@ -467,7 +496,7 @@ impl RuleEngine {
     }
 
     fn release(&mut self, li: usize, value: bool, out: &mut Vec<(u32, u64, u64)>) {
-        let lane = self.lanes[li].take().expect("lane present");
+        let lane = self.vacate(li).expect("lane present");
         match lane.claimed_port {
             Some(port) => out.push((port, lane.tag, value as u64)),
             None => {
@@ -597,6 +626,10 @@ impl RuleEngine {
             return Err("snapshot: rule mask length mismatch".into());
         }
         self.masked = masked;
+        (self.occupied, self.free_live) = self.scan_counts();
+        if !self.counts_consistent() {
+            return Err("snapshot: a masked rule lane is occupied".into());
+        }
         let stats = snapshot::u64_vec(snapshot::field(j, "stats")?, "stats")?;
         let [allocs, alloc_stalls, clause_fires, otherwise_fires, evictions, peak_lanes] =
             stats.as_slice()

@@ -31,6 +31,16 @@
 //! version drift loud — a snapshot taken under a different config fails
 //! with a count mismatch instead of silently diverging.
 //!
+//! Derived members are checked, not trusted. The `metrics` member is the
+//! registry view at the snapshot cycle: only its per-cycle level
+//! statistics (occupancy histograms, component stall counters) carry
+//! state, and every other metric must equal what the restored components
+//! report. `tl_prev` must equal the restored timeline totals, and the
+//! open timeline window must end at the snapshot cycle. Every in-flight
+//! memory request must address a word of the image and answer on an
+//! existing port. A document that breaks any of these is rejected with
+//! the member named.
+//!
 //! Floating-point state (bandwidth credit, gauges) is serialized as raw
 //! IEEE-754 bit patterns ([`f64::to_bits`]) so a JSON round trip cannot
 //! perturb a single bandwidth decision.

@@ -108,7 +108,9 @@ impl<T> Fifo<T> {
 
     /// End-of-cycle: makes staged pushes visible.
     pub fn commit(&mut self) {
-        self.q.append(&mut self.staged);
+        if !self.staged.is_empty() {
+            self.q.append(&mut self.staged);
+        }
     }
 
     /// Drains every element (visible and staged); used when squashing.

@@ -2,16 +2,24 @@
 //! power-of-two-bucket histograms.
 //!
 //! The fabric's components (pipelines, task queues, rule engines, the
-//! memory subsystem) publish into one [`MetricsRegistry`] every cycle,
-//! unifying what used to be ad-hoc struct fields (`squashes`,
-//! `queue_peaks`, `MemStats`, `RuleEngineStats`) behind **stable metric
-//! keys** (see README §Observability for the key table). Registration
-//! returns typed handles ([`CounterId`], [`GaugeId`], [`HistogramId`])
-//! so the per-cycle hot path is a plain `Vec` index store, never a map
-//! lookup. Snapshots iterate keys in sorted order, which makes every
-//! rendering of the same run byte-identical.
+//! memory subsystem) expose their totals under **stable metric keys**
+//! (see README §Observability for the key table), unifying what used to
+//! be ad-hoc struct fields (`squashes`, `queue_peaks`, `MemStats`,
+//! `RuleEngineStats`). Registration returns typed handles
+//! ([`CounterId`], [`GaugeId`], [`HistogramId`]), so writing a value is a
+//! plain `Vec` index store, never a map lookup. Snapshots iterate keys in
+//! sorted order, which makes every rendering of the same run
+//! byte-identical.
+//!
+//! Nothing is written per cycle. Counters and gauges are read from the
+//! components when a report or snapshot renders the registry, and each
+//! per-cycle statistic of a *level* (an occupancy histogram, a stall
+//! counter) is a [`LevelStat`] that credits the level's duration when the
+//! level changes.
 
+use crate::stats::StallCause;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Handle to a registered counter (monotone `u64`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,9 +86,9 @@ impl Histogram {
     ///
     /// Exactly equivalent to calling [`Histogram::observe`] `n` times:
     /// the sum saturates at `u64::MAX` either way, and both paths set
-    /// [`Histogram::saturated`] when the true sum no longer fits. Used by
-    /// the event-wheel scheduler to replay per-cycle observations for a
-    /// skipped quiescent stretch.
+    /// [`Histogram::saturated`] when the true sum no longer fits. This is
+    /// what lets a [`LevelStat`] credit a level held for `n` cycles as
+    /// one observation per cycle.
     pub fn observe_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
@@ -164,6 +172,7 @@ impl Histogram {
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(u64),
     Gauge(f64),
@@ -181,12 +190,15 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
-/// The registry: `register_*` once (cold path), update through the typed
-/// handle (hot path), snapshot at the end of the run.
-#[derive(Default)]
+/// The registry: `register_*` once, write through the typed handle,
+/// snapshot to render. The fabric keeps one registry as the key
+/// structure and renders each report or snapshot into a copy of it.
+#[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    index: BTreeMap<String, usize>,
-    names: Vec<String>,
+    /// Key → handle number. Shared by copies: a copy made to render a
+    /// view allocates no keys (rollback checkpoints render one every
+    /// `checkpoint_interval` cycles).
+    index: Arc<BTreeMap<String, usize>>,
     metrics: Vec<Metric>,
 }
 
@@ -202,8 +214,7 @@ impl MetricsRegistry {
             "metric key `{key}` registered twice"
         );
         let id = self.metrics.len();
-        self.index.insert(key.to_string(), id);
-        self.names.push(key.to_string());
+        Arc::make_mut(&mut self.index).insert(key.to_string(), id);
         self.metrics.push(m);
         id
     }
@@ -276,11 +287,18 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records `n` identical histogram observations in O(1) (see
-    /// [`Histogram::observe_n`]).
-    pub fn observe_n(&mut self, id: HistogramId, value: u64, n: u64) {
+    /// Replaces a histogram's contents.
+    pub fn set_histogram(&mut self, id: HistogramId, h: Histogram) {
         match &mut self.metrics[id.0] {
-            Metric::Histogram(h) => h.observe_n(value, n),
+            Metric::Histogram(slot) => *slot = h,
+            _ => unreachable!("typed handle"),
+        }
+    }
+
+    /// Current contents of a histogram.
+    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
+        match &self.metrics[id.0] {
+            Metric::Histogram(h) => h,
             _ => unreachable!("typed handle"),
         }
     }
@@ -339,6 +357,143 @@ impl MetricsRegistry {
                 })
                 .collect(),
         }
+    }
+}
+
+/// The level code of a stall cause: 0 is "not stalled", a cause `c` is
+/// `c as u64 + 1`. Stall statistics are levels over these codes.
+pub fn stall_level(cause: Option<StallCause>) -> u64 {
+    cause.map_or(0, |c| c as u64 + 1)
+}
+
+/// Where a [`LevelStat`] credits the cycles its level is held.
+#[derive(Clone, Debug)]
+enum LevelSink {
+    /// One histogram observation of the level per cycle.
+    Histogram(HistogramId, Histogram),
+    /// A stall level ([`stall_level`]): each stalled cycle counts once in
+    /// `total` and once in the counter of its cause, `(cause, counter,
+    /// cycles credited)`.
+    Stall {
+        total: CounterId,
+        causes: [(StallCause, CounterId, u64); 2],
+    },
+}
+
+/// A per-cycle statistic of a level that changes rarely: an occupancy
+/// histogram with one observation per cycle, or a stall counter that
+/// counts every cycle the level is a stall.
+///
+/// Instead of sampling every cycle, it keeps `(level, since)`: the level
+/// has been held on every cycle after `since`, and the cycles up to and
+/// including `since` are already credited. The end of a tick reports the
+/// live level through [`LevelStat::update`], which credits the old level
+/// for its duration only when the level changed. A report or snapshot
+/// adds the pending `now − since` cycles when it renders
+/// ([`LevelStat::render`]). A per-cycle histogram of a level equals its
+/// duration-weighted histogram, so the result is the per-cycle one, byte
+/// for byte, and a quiescent stretch (whose levels cannot change) costs
+/// nothing.
+#[derive(Clone, Debug)]
+pub struct LevelStat {
+    sink: LevelSink,
+    value: u64,
+    since: u64,
+}
+
+impl LevelStat {
+    /// A level observed once per cycle into the histogram `id`.
+    pub fn histogram(id: HistogramId) -> Self {
+        Self::with(LevelSink::Histogram(id, Histogram::new()))
+    }
+
+    /// A stall level counted into `total` and into the counter of its
+    /// cause; `causes` lists the two causes the component can report.
+    pub fn stall(total: CounterId, causes: [(StallCause, CounterId); 2]) -> Self {
+        Self::with(LevelSink::Stall {
+            total,
+            causes: causes.map(|(c, id)| (c, id, 0)),
+        })
+    }
+
+    fn with(sink: LevelSink) -> Self {
+        LevelStat {
+            sink,
+            value: 0,
+            since: 0,
+        }
+    }
+
+    /// The level as of the last [`LevelStat::update`].
+    pub fn value(&self) -> u64 {
+        self.value
+    }
+
+    /// End of cycle `now`: the level is `value`. When it changed, the
+    /// old level is credited for every cycle it was held, and the new
+    /// one is held from `now` on.
+    pub fn update(&mut self, now: u64, value: u64) {
+        if value != self.value {
+            self.credit(now - 1 - self.since);
+            self.value = value;
+            self.since = now - 1;
+        }
+    }
+
+    /// Starts over at cycle `now` with the level `value` and every cycle
+    /// through `now` already credited: construction, restore, rollback.
+    pub fn reseed(&mut self, now: u64, value: u64) {
+        self.value = value;
+        self.since = now;
+    }
+
+    fn credit(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let v = self.value;
+        match &mut self.sink {
+            LevelSink::Histogram(_, h) => h.observe_n(v, n),
+            LevelSink::Stall { causes, .. } => {
+                if let Some((.., cycles)) =
+                    causes.iter_mut().find(|(c, ..)| stall_level(Some(*c)) == v)
+                {
+                    *cycles += n;
+                }
+            }
+        }
+    }
+
+    /// Writes the statistic as of cycle `now` into `m`: everything
+    /// credited, plus the current level for the `now − since` cycles it
+    /// has been held.
+    pub fn render(&self, now: u64, m: &mut MetricsRegistry) {
+        let mut at = self.clone();
+        at.credit(now - self.since);
+        match at.sink {
+            LevelSink::Histogram(id, h) => m.set_histogram(id, h),
+            LevelSink::Stall { total, causes } => {
+                m.set_counter(total, causes.iter().map(|&(.., n)| n).sum());
+                for (_, id, n) in causes {
+                    m.set_counter(id, n);
+                }
+            }
+        }
+    }
+
+    /// Takes the credited totals from a registry restored from a
+    /// snapshot taken at cycle `now`, and starts over at the level
+    /// `value` (see [`LevelStat::reseed`]).
+    pub fn load(&mut self, m: &MetricsRegistry, now: u64, value: u64) {
+        match &mut self.sink {
+            LevelSink::Histogram(id, h) => *h = m.histogram_value(*id).clone(),
+            LevelSink::Stall { causes, .. } => {
+                for (_, id, n) in causes {
+                    *n = m.counter_value(*id);
+                }
+            }
+        }
+        self.reseed(now, value);
     }
 }
 
@@ -487,7 +642,9 @@ mod tests {
         let snap_h = {
             let mut m = MetricsRegistry::new();
             let id = m.histogram("sat");
-            m.observe_n(id, u64::MAX, 3);
+            let mut h = Histogram::new();
+            h.observe_n(u64::MAX, 3);
+            m.set_histogram(id, h);
             m.snapshot().histogram("sat").unwrap().clone()
         };
         assert!(snap_h.saturated(), "flag survives the snapshot clone");
@@ -508,6 +665,50 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert!(h.mean().is_finite());
         assert!(!h.saturated());
+    }
+
+    #[test]
+    fn level_stats_equal_per_cycle_sampling_across_a_restore() {
+        use StallCause::{QueueFull, ReserveFull};
+        let mut m = MetricsRegistry::new();
+        let h = m.histogram("occ");
+        let (t, a, b) = (
+            m.counter("stall"),
+            m.counter("stall.a"),
+            m.counter("stall.b"),
+        );
+        let fresh = || {
+            (
+                LevelStat::histogram(h),
+                LevelStat::stall(t, [(QueueFull, a), (ReserveFull, b)]),
+            )
+        };
+        let (mut occ, mut stall) = fresh();
+        let mut reference = m.clone();
+        let levels = [0u64, 0, 3, 3, 3, 1, 0, 7, 7, 2, 2, 2, 5];
+        for (i, &v) in levels.iter().enumerate() {
+            let now = i as u64 + 1;
+            let cause = [None, Some(QueueFull), Some(ReserveFull)][v as usize % 3];
+            occ.update(now, v);
+            stall.update(now, stall_level(cause));
+            reference.observe(h, v);
+            if let Some(c) = cause {
+                reference.inc(t, 1);
+                reference.inc(if c == QueueFull { a } else { b }, 1);
+            }
+            let mut view = m.clone();
+            occ.render(now, &mut view);
+            stall.render(now, &mut view);
+            assert_eq!(view.snapshot(), reference.snapshot(), "cycle {now}");
+            if now == 6 {
+                // A restore: a fresh pair takes the rendered totals and
+                // carries on from this cycle.
+                let (o, s) = (occ.value(), stall.value());
+                (occ, stall) = fresh();
+                occ.load(&view, now, o);
+                stall.load(&view, now, s);
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! Windowed activity timelines: *when* the fabric was busy, not just
 //! how much in total.
 //!
-//! [`TimelineRecorder`] accumulates per-cycle metric deltas and closes a
-//! window every `window` cycles, keeping the most recent `capacity`
-//! windows in a bounded ring (older windows are evicted and counted in
-//! `dropped`). The recorder is fed one [`TimelineSample`] of deltas per
-//! simulated cycle; the event-wheel scheduler replays a skipped
-//! quiescent stretch through [`TimelineRecorder::observe_n`] — during
-//! quiescence the per-cycle delta is constant (no busy work, no
-//! retirements, no memory traffic), so `n` identical cycles are folded
-//! in `O(n / window)` chunk steps, the same trick as
-//! `Histogram::observe_n`. Dense and wheel schedules therefore produce
-//! byte-identical timelines.
+//! [`TimelineRecorder`] closes a window every `window` cycles, keeping
+//! the most recent `capacity` windows in a bounded ring (older windows
+//! are evicted and counted in `dropped`). A window's sample is the
+//! fabric's cumulative [`TimelineSample`] totals at the window's last
+//! cycle minus the totals at the cycle before its first, so the recorder
+//! needs the totals only at window boundaries — when a tick, or a
+//! quiescent jump, crosses one — and when a report or snapshot reads the
+//! open window. Nothing is sampled per cycle, which is why dense and
+//! event-wheel schedules produce byte-identical timelines.
 
 use std::collections::VecDeque;
 
-/// Metric deltas accumulated over one or more cycles. Each field is a
-/// non-negative delta of a monotone fabric counter.
+/// Cumulative fabric totals, or their difference over a span of cycles.
+/// Every field is a monotone fabric counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelineSample {
     /// Stage-cycles spent busy.
@@ -36,34 +34,34 @@ pub struct TimelineSample {
 }
 
 impl TimelineSample {
-    /// Adds `other` scaled by `n` (field-wise `self += other * n`).
-    pub fn add_scaled(&mut self, other: &TimelineSample, n: u64) {
-        self.busy += other.busy * n;
-        self.stall += other.stall * n;
-        self.idle += other.idle * n;
-        self.retired += other.retired * n;
-        self.hits += other.hits * n;
-        self.misses += other.misses * n;
-        self.qpi_bytes += other.qpi_bytes * n;
+    /// Field-wise `self - prev`, or `None` when some field of `prev` is
+    /// larger.
+    pub fn checked_delta_from(&self, prev: &TimelineSample) -> Option<TimelineSample> {
+        Some(TimelineSample {
+            busy: self.busy.checked_sub(prev.busy)?,
+            stall: self.stall.checked_sub(prev.stall)?,
+            idle: self.idle.checked_sub(prev.idle)?,
+            retired: self.retired.checked_sub(prev.retired)?,
+            hits: self.hits.checked_sub(prev.hits)?,
+            misses: self.misses.checked_sub(prev.misses)?,
+            qpi_bytes: self.qpi_bytes.checked_sub(prev.qpi_bytes)?,
+        })
     }
 
-    /// Field-wise `self - prev` (caller guarantees monotonicity).
+    /// Field-wise `self - prev`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when some field of `prev` is larger: totals are monotone.
     pub fn delta_from(&self, prev: &TimelineSample) -> TimelineSample {
-        TimelineSample {
-            busy: self.busy - prev.busy,
-            stall: self.stall - prev.stall,
-            idle: self.idle - prev.idle,
-            retired: self.retired - prev.retired,
-            hits: self.hits - prev.hits,
-            misses: self.misses - prev.misses,
-            qpi_bytes: self.qpi_bytes - prev.qpi_bytes,
-        }
+        self.checked_delta_from(prev)
+            .expect("timeline totals are monotone")
     }
 }
 
 /// One closed window: `cycles` consecutive cycles starting at
-/// simulation cycle `start` (1-based), with the deltas accumulated
-/// across them. The final window of a run may be partial
+/// simulation cycle `start` (1-based), with the totals' growth across
+/// them. The final window of a run may be partial
 /// (`cycles < window`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelineWindow {
@@ -86,15 +84,16 @@ pub struct Timeline {
     pub windows: Vec<TimelineWindow>,
 }
 
-/// Accumulates per-cycle deltas into windows of `window` cycles, keeping
+/// Closes windows of `window` cycles from cumulative totals, keeping
 /// the newest `capacity` windows.
 #[derive(Clone, Debug)]
 pub struct TimelineRecorder {
     window: u64,
     capacity: usize,
-    cur: TimelineSample,
-    cur_len: u64,
-    cur_start: u64,
+    /// First cycle of the open window.
+    start: u64,
+    /// Totals at cycle `start − 1`, where the open window's growth starts.
+    base: TimelineSample,
     ring: VecDeque<TimelineWindow>,
     dropped: u64,
 }
@@ -103,16 +102,14 @@ impl TimelineRecorder {
     /// Creates a recorder with `window` cycles per window (must be > 0)
     /// and a ring of at most `capacity` windows (clamped to ≥ 1).
     pub fn new(window: u64, capacity: usize) -> Self {
-        assert!(window > 0, "timeline window must be positive");
-        Self {
+        Self::from_parts(
             window,
-            capacity: capacity.max(1),
-            cur: TimelineSample::default(),
-            cur_len: 0,
-            cur_start: 1,
-            ring: VecDeque::new(),
-            dropped: 0,
-        }
+            capacity,
+            1,
+            TimelineSample::default(),
+            Vec::new(),
+            0,
+        )
     }
 
     /// Configured cycles per window.
@@ -120,11 +117,14 @@ impl TimelineRecorder {
         self.window
     }
 
-    /// Checkpoint state:
-    /// `(capacity, cur, cur_len, cur_start, dropped)` plus the retained
-    /// ring via [`TimelineRecorder::ring`].
-    pub fn state(&self) -> (usize, TimelineSample, u64, u64, u64) {
-        (self.capacity, self.cur, self.cur_len, self.cur_start, self.dropped)
+    /// Ring capacity in windows.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Windows evicted from the ring so far.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Retained (already closed) windows, oldest first.
@@ -132,7 +132,57 @@ impl TimelineRecorder {
         self.ring.iter()
     }
 
-    /// Rebuilds a recorder from checkpointed state.
+    /// The cycle on which the open window closes.
+    pub fn next_close(&self) -> u64 {
+        self.start + self.window - 1
+    }
+
+    /// Closes the open window on its last cycle ([`Self::next_close`]),
+    /// given the totals at that cycle.
+    pub fn close(&mut self, totals: TimelineSample) {
+        self.push(self.window, totals);
+    }
+
+    /// The open window as of cycle `now` (before [`Self::next_close`]),
+    /// given the totals at `now`: its start, the cycles it covers so far,
+    /// and the totals' growth across them.
+    pub fn open_window(&self, now: u64, totals: &TimelineSample) -> TimelineWindow {
+        TimelineWindow {
+            start: self.start,
+            cycles: now + 1 - self.start,
+            sample: totals.delta_from(&self.base),
+        }
+    }
+
+    fn push(&mut self, cycles: u64, totals: TimelineSample) {
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(TimelineWindow {
+            start: self.start,
+            cycles,
+            sample: totals.delta_from(&self.base),
+        });
+        self.start += cycles;
+        self.base = totals;
+    }
+
+    /// Closes the partial final window at cycle `now`, given the totals
+    /// there, and returns the finished timeline.
+    pub fn finish(mut self, now: u64, totals: TimelineSample) -> Timeline {
+        if now >= self.start {
+            self.push(now + 1 - self.start, totals);
+        }
+        Timeline {
+            window: self.window,
+            dropped: self.dropped,
+            windows: self.ring.into_iter().collect(),
+        }
+    }
+
+    /// Rebuilds a recorder: the open window starts at `start` and grows
+    /// from the totals `base`; `ring` holds the retained closed windows.
     ///
     /// # Panics
     ///
@@ -140,71 +190,24 @@ impl TimelineRecorder {
     pub fn from_parts(
         window: u64,
         capacity: usize,
-        cur: TimelineSample,
-        cur_len: u64,
-        cur_start: u64,
+        start: u64,
+        base: TimelineSample,
         ring: Vec<TimelineWindow>,
         dropped: u64,
     ) -> Self {
         assert!(window > 0, "timeline window must be positive");
         let capacity = capacity.max(1);
-        assert!(ring.len() <= capacity, "restored timeline ring exceeds capacity");
+        assert!(
+            ring.len() <= capacity,
+            "restored timeline ring exceeds capacity"
+        );
         Self {
             window,
             capacity,
-            cur,
-            cur_len,
-            cur_start,
+            start,
+            base,
             ring: ring.into(),
             dropped,
-        }
-    }
-
-    /// Folds one cycle's deltas.
-    pub fn observe(&mut self, s: &TimelineSample) {
-        self.observe_n(s, 1);
-    }
-
-    /// Folds `n` consecutive cycles that each carry the identical delta
-    /// `s`, in O(n / window) window steps rather than O(n) cycle steps.
-    pub fn observe_n(&mut self, s: &TimelineSample, mut n: u64) {
-        while n > 0 {
-            let room = self.window - self.cur_len;
-            let chunk = n.min(room);
-            self.cur.add_scaled(s, chunk);
-            self.cur_len += chunk;
-            n -= chunk;
-            if self.cur_len == self.window {
-                self.flush();
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.cur_len == 0 {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(TimelineWindow {
-            start: self.cur_start,
-            cycles: self.cur_len,
-            sample: self.cur,
-        });
-        self.cur_start += self.cur_len;
-        self.cur = TimelineSample::default();
-        self.cur_len = 0;
-    }
-
-    /// Flushes the partial final window and returns the finished timeline.
-    pub fn finish(mut self) -> Timeline {
-        self.flush();
-        Timeline {
-            window: self.window,
-            dropped: self.dropped,
-            windows: self.ring.into_iter().collect(),
         }
     }
 }
@@ -213,21 +216,29 @@ impl TimelineRecorder {
 mod tests {
     use super::*;
 
-    fn sample(busy: u64, retired: u64) -> TimelineSample {
+    /// Totals after `c` cycles of a fabric that is busy 2 and retires 1
+    /// per cycle.
+    fn totals(c: u64) -> TimelineSample {
         TimelineSample {
-            busy,
-            retired,
+            busy: 2 * c,
+            retired: c,
             ..TimelineSample::default()
         }
     }
 
+    /// Runs a recorder through cycle `end`, closing every window on its
+    /// boundary, as the fabric does.
+    fn run(mut r: TimelineRecorder, end: u64) -> Timeline {
+        while r.next_close() <= end {
+            let at = r.next_close();
+            r.close(totals(at));
+        }
+        r.finish(end, totals(end))
+    }
+
     #[test]
     fn windows_close_on_boundaries_and_final_partial_flushes() {
-        let mut r = TimelineRecorder::new(4, 16);
-        for _ in 0..10 {
-            r.observe(&sample(2, 1));
-        }
-        let t = r.finish();
+        let t = run(TimelineRecorder::new(4, 16), 10);
         assert_eq!(t.window, 4);
         assert_eq!(t.dropped, 0);
         assert_eq!(t.windows.len(), 3);
@@ -241,32 +252,33 @@ mod tests {
     }
 
     #[test]
-    fn observe_n_equals_n_observes() {
-        let s = TimelineSample {
-            busy: 1,
-            stall: 3,
-            idle: 2,
-            retired: 0,
-            hits: 5,
-            misses: 1,
-            qpi_bytes: 64,
-        };
-        let mut bulk = TimelineRecorder::new(7, 8);
-        let mut seq = TimelineRecorder::new(7, 8);
-        bulk.observe_n(&s, 23);
-        for _ in 0..23 {
-            seq.observe(&s);
-        }
-        assert_eq!(bulk.finish(), seq.finish());
+    fn a_run_ending_on_a_boundary_has_no_partial_window() {
+        let t = run(TimelineRecorder::new(4, 16), 8);
+        assert_eq!(t.windows.len(), 2);
+        assert_eq!(t.windows[1].cycles, 4);
+    }
+
+    #[test]
+    fn open_window_is_the_growth_since_the_last_boundary() {
+        let mut r = TimelineRecorder::new(4, 16);
+        r.close(totals(4));
+        let w = r.open_window(6, &totals(6));
+        assert_eq!((w.start, w.cycles, w.sample), (5, 2, totals(2)));
+        // Rebuilt from its parts, the recorder carries on identically.
+        let rebuilt = TimelineRecorder::from_parts(
+            4,
+            16,
+            w.start,
+            totals(4),
+            r.ring().copied().collect(),
+            r.dropped(),
+        );
+        assert_eq!(run(rebuilt, 10), run(r, 10));
     }
 
     #[test]
     fn ring_drops_oldest_windows() {
-        let mut r = TimelineRecorder::new(2, 3);
-        for i in 0..10u64 {
-            r.observe(&sample(i, 0));
-        }
-        let t = r.finish();
+        let t = run(TimelineRecorder::new(2, 3), 10);
         assert_eq!(t.dropped, 2);
         assert_eq!(t.windows.len(), 3);
         // Oldest retained window starts after the two evicted ones.
@@ -276,30 +288,14 @@ mod tests {
 
     #[test]
     fn empty_recorder_finishes_empty() {
-        let t = TimelineRecorder::new(8, 4).finish();
+        let t = TimelineRecorder::new(8, 4).finish(0, TimelineSample::default());
         assert_eq!(t.windows.len(), 0);
         assert_eq!(t.dropped, 0);
     }
 
     #[test]
-    fn observe_n_spanning_many_windows_matches_chunked() {
-        let s = sample(0, 1);
-        let mut r = TimelineRecorder::new(3, 100);
-        r.observe(&s); // offset the window phase
-        r.observe_n(&s, 16);
-        let t = r.finish();
-        assert_eq!(t.windows.iter().map(|w| w.cycles).sum::<u64>(), 17);
-        assert_eq!(t.windows.iter().map(|w| w.sample.retired).sum::<u64>(), 17);
-        assert_eq!(t.windows.len(), 6);
-        assert_eq!(t.windows.last().unwrap().cycles, 17 % 3);
-    }
-
-    #[test]
     fn zero_capacity_is_clamped() {
-        let mut r = TimelineRecorder::new(1, 0);
-        r.observe(&sample(1, 0));
-        r.observe(&sample(1, 0));
-        let t = r.finish();
+        let t = run(TimelineRecorder::new(1, 0), 2);
         assert_eq!(t.windows.len(), 1);
         assert_eq!(t.dropped, 1);
     }

@@ -16,7 +16,7 @@ use apir_bench::Scale;
 use apir_trace::{
     analysis_report, analyze_app, chaos_run, chrome_trace, diff_docs, restore_run, snapshot_at,
     text_summary, timeline_csv, timeline_run, timeline_sparkline, traced_run, validate_analysis,
-    SnapshotAt,
+    SnapshotAt, TIMELINE_CAPACITY,
 };
 
 const USAGE: &str = "\
@@ -55,7 +55,7 @@ commands:
       the measured fabric.stall.* top cause.
       exit 0: validated   exit 1: contract violation
   snapshot <APP> --at N [--scale tiny|small|medium|large] [--cap N]
-                 [--faults SEED] [--out PATH]
+                 [--faults SEED] [--window N] [--out PATH]
       Run one builtin app up to cycle N, pause, and write the complete
       fabric state as an apir.fabric.snapshot.v1 document (stdout, or
       --out PATH). Feeding it to `restore-run` with the same flags
@@ -64,12 +64,15 @@ commands:
                 on the first scheduled cycle past a quiescent jump)
       --cap     trace ring capacity (default: 65536, as `run`)
       --faults  arm the chaos preset with this seed, as `run`
+      --window  arm the timeline with N cycles per window, as
+                `timeline` (its default ring of 4096 windows)
       exit 0: snapshot written   exit 1: run completed before --at
   restore-run <APP> <SNAPSHOT.json> [--scale tiny|small|medium|large]
-              [--cap N] [--faults SEED] [--json PATH]
+              [--cap N] [--faults SEED] [--window N] [--json PATH]
       Restore a paused run from a snapshot document, run it to
       completion, verify it against the app checker, and print the
-      summary. APP/--scale/--cap/--faults must match the snapshot run;
+      summary. APP/--scale/--cap/--faults/--window must match the
+      snapshot run;
       any structural mismatch is diagnosed, not silently accepted.
       --json    write the full report as JSON to PATH
   campaign <PLAN.json> [--threads N] [--inflight N] [--out PATH]
@@ -181,13 +184,20 @@ fn cmd_run(args: Vec<String>) {
     }
 }
 
-/// Parses the `<APP> [--scale S] [--cap N] [--faults SEED]` tail shared
-/// by `snapshot` and `restore-run`, returning any unrecognized
-/// positional arguments for the caller to interpret.
-fn runner_flags(
-    args: Vec<String>,
-    cmd: &str,
-) -> (String, Scale, usize, Option<u64>, Vec<String>) {
+/// What `snapshot` and `restore-run` share: the app and the flags that
+/// shape its fabric.
+struct RunnerFlags {
+    app: String,
+    scale: Scale,
+    cap: usize,
+    fault_seed: Option<u64>,
+    window: u64,
+}
+
+/// Parses the `<APP> [--scale S] [--cap N] [--faults SEED] [--window N]`
+/// tail shared by `snapshot` and `restore-run`, returning any
+/// unrecognized arguments for the caller to interpret.
+fn runner_flags(args: Vec<String>, cmd: &str) -> (RunnerFlags, Vec<String>) {
     let mut args = args.into_iter();
     let Some(app) = args.next() else {
         fail(&format!("{cmd} needs an app name"));
@@ -198,6 +208,7 @@ fn runner_flags(
     let mut scale = Scale::Tiny;
     let mut cap: usize = 1 << 16;
     let mut fault_seed: Option<u64> = None;
+    let mut window: u64 = 0;
     let mut rest: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -219,14 +230,31 @@ fn runner_flags(
                         .unwrap_or_else(|_| fail(&format!("--faults wants a seed, got `{v}`"))),
                 );
             }
+            "--window" => {
+                let v = next_value(&mut args, "--window");
+                window = v
+                    .parse()
+                    .unwrap_or_else(|_| fail(&format!("--window wants a number, got `{v}`")));
+                if window == 0 {
+                    fail("--window must be positive");
+                }
+            }
             _ => rest.push(arg),
         }
     }
-    (app, scale, cap, fault_seed, rest)
+    let flags = RunnerFlags {
+        app,
+        scale,
+        cap,
+        fault_seed,
+        window,
+    };
+    (flags, rest)
 }
 
 fn cmd_snapshot(args: Vec<String>) {
-    let (app, scale, cap, fault_seed, rest) = runner_flags(args, "snapshot");
+    let (run, rest) = runner_flags(args, "snapshot");
+    let app = &run.app;
     let mut at: Option<u64> = None;
     let mut out_path: Option<String> = None;
     let mut rest = rest.into_iter();
@@ -246,7 +274,7 @@ fn cmd_snapshot(args: Vec<String>) {
     let Some(at) = at else {
         fail("snapshot needs --at <cycle>");
     };
-    match snapshot_at(&app, scale, cap, fault_seed, at) {
+    match snapshot_at(app, run.scale, run.cap, run.fault_seed, run.window, at) {
         SnapshotAt::Completed(report) => {
             eprintln!(
                 "apir-trace: {app} completed at cycle {} before --at {at}; no snapshot taken",
@@ -273,7 +301,7 @@ fn cmd_snapshot(args: Vec<String>) {
 }
 
 fn cmd_restore_run(args: Vec<String>) {
-    let (app, scale, cap, fault_seed, rest) = runner_flags(args, "restore-run");
+    let (run, rest) = runner_flags(args, "restore-run");
     let mut snap_path: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut rest = rest.into_iter();
@@ -300,10 +328,11 @@ fn cmd_restore_run(args: Vec<String>) {
         eprintln!("apir-trace: parsing {path}: {e}");
         std::process::exit(2);
     });
-    let report = restore_run(&app, scale, cap, fault_seed, &doc).unwrap_or_else(|e| {
-        eprintln!("apir-trace: {path}: {e}");
-        std::process::exit(2);
-    });
+    let report = restore_run(&run.app, run.scale, run.cap, run.fault_seed, run.window, &doc)
+        .unwrap_or_else(|e| {
+            eprintln!("apir-trace: {path}: {e}");
+            std::process::exit(2);
+        });
     print!("{}", text_summary(&report));
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
@@ -324,7 +353,7 @@ fn cmd_timeline(args: Vec<String>) {
     }
     let mut scale = Scale::Tiny;
     let mut window: u64 = 256;
-    let mut cap: usize = 4096;
+    let mut cap: usize = TIMELINE_CAPACITY;
     let mut fault_seed: Option<u64> = None;
     let mut csv_path: Option<String> = None;
     let mut json_path: Option<String> = None;

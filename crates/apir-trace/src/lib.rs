@@ -66,20 +66,28 @@ pub fn chaos_run(name: &str, scale: Scale, trace_capacity: usize, fault_seed: u6
     report
 }
 
+/// Windows a runner's timeline ring retains (the `apir-trace timeline`
+/// default).
+pub const TIMELINE_CAPACITY: usize = 4096;
+
 /// The configuration one of the CLI runners executes `name` under: the
-/// synthesized baseline with the trace ring and (optionally) the chaos
-/// preset armed, then the cache scaling and tuning hooks `run_verified`
-/// applies — so a paused-and-restored run rebuilds the *exact* fabric
-/// the uninterrupted runner uses.
+/// synthesized baseline with the trace ring, (optionally) the chaos
+/// preset, and (when `window > 0`) the timeline armed, then the cache
+/// scaling and tuning hooks `run_verified` applies — so a
+/// paused-and-restored run rebuilds the *exact* fabric the uninterrupted
+/// runner uses.
 fn runner_app_cfg(
     name: &str,
     scale: Scale,
     trace_capacity: usize,
     fault_seed: Option<u64>,
+    window: u64,
 ) -> (apir_bench::scale::AppInstance, apir_fabric::FabricConfig) {
     let app = apir_bench::scale::build_app(name, scale);
     let mut cfg = synthesized_cfg(name, scale);
     cfg.trace_capacity = trace_capacity;
+    cfg.timeline_window = window;
+    cfg.timeline_capacity = TIMELINE_CAPACITY;
     if let Some(seed) = fault_seed {
         cfg.faults = apir_fabric::FaultConfig::chaos(seed);
     }
@@ -100,9 +108,10 @@ pub enum SnapshotAt {
 
 /// Runs builtin app `name` up to cycle `at` and snapshots the paused
 /// fabric as an `apir.fabric.snapshot.v1` document. The configuration
-/// recipe matches [`traced_run`]/[`chaos_run`] exactly, so feeding the
-/// document to [`restore_run`] finishes the run byte-identically to the
-/// uninterrupted runner.
+/// recipe matches [`traced_run`]/[`chaos_run`] exactly (and, with a
+/// timeline `window > 0`, [`timeline_run`] with [`TIMELINE_CAPACITY`]),
+/// so feeding the document to [`restore_run`] finishes the run
+/// byte-identically to the uninterrupted runner.
 ///
 /// # Panics
 ///
@@ -113,9 +122,10 @@ pub fn snapshot_at(
     scale: Scale,
     trace_capacity: usize,
     fault_seed: Option<u64>,
+    window: u64,
     at: u64,
 ) -> SnapshotAt {
-    let (app, cfg) = runner_app_cfg(name, scale, trace_capacity, fault_seed);
+    let (app, cfg) = runner_app_cfg(name, scale, trace_capacity, fault_seed, window);
     let split = apir_fabric::Fabric::new(&app.spec, &app.input, cfg)
         .run_until(at)
         .unwrap_or_else(|e| panic!("{name}: fabric failed: {e}"));
@@ -131,8 +141,8 @@ pub fn snapshot_at(
 
 /// Restores builtin app `name` from a snapshot document and runs it to
 /// completion, verifying the final memory image against the app's
-/// checker. The `(scale, trace_capacity, fault_seed)` triple must match
-/// the one the snapshot was taken under — restore validates the
+/// checker. The `(scale, trace_capacity, fault_seed, window)` must match
+/// the ones the snapshot was taken under — restore validates the
 /// structural fit and fails loudly on any mismatch.
 ///
 /// # Errors
@@ -144,9 +154,10 @@ pub fn restore_run(
     scale: Scale,
     trace_capacity: usize,
     fault_seed: Option<u64>,
+    window: u64,
     doc: &Json,
 ) -> Result<FabricReport, String> {
-    let (app, cfg) = runner_app_cfg(name, scale, trace_capacity, fault_seed);
+    let (app, cfg) = runner_app_cfg(name, scale, trace_capacity, fault_seed, window);
     let fabric = apir_fabric::Fabric::restore(&app.spec, &app.input, cfg, doc)?;
     let report = fabric
         .run()

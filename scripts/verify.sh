@@ -111,6 +111,24 @@ snapshot_round_trip() {
 snapshot_round_trip SPEC-BFS tiny 400
 snapshot_round_trip SPEC-SSSP small 30000
 
+echo "==> snapshot round trip with the timeline armed (open window and totals re-derived)"
+# The snapshot renders the open timeline window and `tl_prev` from the
+# totals at its cycle, and restore derives the window's base from them:
+# a resumed run must close every later window exactly as the
+# uninterrupted `timeline` run does. Trace off (`--cap 0`), as `timeline`.
+cargo run -q --release --offline -p apir-trace -- \
+  timeline SPEC-SSSP --scale small --window 256 --json "$snap_full" > /dev/null
+cargo run -q --release --offline -p apir-trace -- \
+  snapshot SPEC-SSSP --scale small --cap 0 --window 256 --at 30000 --out "$snap_doc" > /dev/null
+cargo run -q --release --offline -p apir-trace -- \
+  restore-run SPEC-SSSP --scale small --cap 0 --window 256 "$snap_doc" \
+  --json "$snap_resumed" > /dev/null
+if ! cargo run -q --release --offline -p apir-trace -- \
+  diff --machine "$snap_full" "$snap_resumed"; then
+  echo "ERROR: SPEC-SSSP (small, timeline window 256) restored at cycle 30000 diverged from the uninterrupted run (keys above)." >&2
+  exit 1
+fi
+
 echo "==> campaign resume gate (torn partial log, 8-thread resume == 1-thread full run)"
 cargo run -q --release --offline -p apir-trace -- \
   campaign tests/plans/smoke12.json --threads 1 --out "$resume_full" > /dev/null 2>&1

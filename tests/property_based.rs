@@ -482,3 +482,155 @@ props! {
         }
     }
 }
+
+/// Per-cycle reference for one stall statistic: cycles stalled in total
+/// and per cause, in the order the component registers its causes.
+#[derive(Default, Debug, PartialEq)]
+struct StallRef {
+    total: u64,
+    by: [u64; 2],
+}
+
+impl StallRef {
+    fn sample(
+        &mut self,
+        cause: Option<apir::sim::stats::StallCause>,
+        causes: [apir::sim::stats::StallCause; 2],
+    ) {
+        if let Some(c) = cause {
+            self.total += 1;
+            self.by[causes
+                .iter()
+                .position(|&k| k == c)
+                .expect("registered cause")] += 1;
+        }
+    }
+
+    fn rendered(
+        m: &apir::sim::metrics::MetricsSnapshot,
+        prefix: &str,
+        causes: [apir::sim::stats::StallCause; 2],
+    ) -> Self {
+        let get = |key: String| m.counter(&key).unwrap_or_else(|| panic!("{key}"));
+        StallRef {
+            total: get(format!("{prefix}.stall")),
+            by: causes.map(|c| get(format!("{prefix}.stall.{}", c.key()))),
+        }
+    }
+}
+
+props! {
+    cases = 48;
+
+    /// A task queue and a rule engine driven by random pushes, pops,
+    /// commits, allocs and releases, with random quiescent gaps in which
+    /// nothing happens and no level is read (as across an event-wheel
+    /// jump): the occupancy histogram and the stall counters credited by
+    /// level duration equal a per-cycle reference, at every cycle they
+    /// are rendered. The reference samples a model of what was pushed,
+    /// popped, granted and released, not the components' O(1) counts.
+    fn level_accounting_equals_per_cycle_sampling(g) {
+        use apir::fabric::queue::{QueueMetrics, TaskQueue};
+        use apir::fabric::rules::{AllocOutcome, RuleEngine, RuleMetrics};
+        use apir::sim::metrics::{stall_level, Histogram, MetricsRegistry};
+        use apir::sim::stats::StallCause::{LaneBusy, LaneMasked, QueueFull, ReserveFull};
+
+        let (banks, per) = (g.gen_range(1usize..5), g.gen_range(1usize..5));
+        let mut q = TaskQueue::new(TaskSetKind::ForEach, 1, banks, banks * per);
+        let reserve = g.gen_range(0usize..4);
+        q.set_reserve(reserve);
+        let reserve = reserve.min(banks * per / 2);
+        let lanes = g.gen_range(1usize..6);
+        let mut e = RuleEngine::new(apir::core::rule::RuleDecl::new("r", 1, true), lanes);
+        // Faults mask banks and lanes before any work arrives.
+        for pick in 0..g.gen_range(0u64..3) {
+            let _ = q.mask_bank(pick);
+            let _ = e.mask_lane(pick, &mut Vec::new());
+        }
+        let (capacity, live_lanes) = (per * q.live_banks(), e.live_lanes());
+        let mut registry = MetricsRegistry::new();
+        let mut levels = Vec::new();
+        QueueMetrics::register(&mut registry, "q", &mut levels);
+        RuleMetrics::register(&mut registry, "r", &mut levels);
+
+        let mut occ = Histogram::new();
+        let (mut q_stall, mut r_stall) = (StallRef::default(), StallRef::default());
+        let (mut queued, mut held, mut seq, mut gap) = (0usize, Vec::new(), 0u64, 0u64);
+        for now in 1..=g.gen_range(1u64..400) {
+            if gap > 0 {
+                gap -= 1;
+            } else {
+                for _ in 0..g.gen_range(0usize..4) {
+                    seq += 1;
+                    let fields = [0; apir::core::MAX_FIELDS];
+                    if q.push_child(IndexTuple::ROOT, seq, fields).is_some() {
+                        queued += 1;
+                    }
+                }
+                for _ in 0..g.gen_range(0usize..3) {
+                    if q.pop().is_some() {
+                        queued -= 1;
+                    }
+                }
+                if g.gen_bool(0.7) {
+                    q.commit();
+                }
+                for _ in 0..g.gen_range(0usize..3) {
+                    seq += 1;
+                    // Later requesters never evict, so a grant takes a
+                    // free lane and a full engine nacks.
+                    let params = [0; apir::core::MAX_FIELDS];
+                    if e.alloc(IndexTuple::ROOT, seq, params, seq) == AllocOutcome::Granted {
+                        held.push(seq);
+                    }
+                }
+                if !held.is_empty() && g.gen_bool(0.5) {
+                    let tag = held.swap_remove(g.gen_range(0usize..held.len()));
+                    e.cancel(tag);
+                }
+                let live = [
+                    q.len() as u64,
+                    stall_level(q.stall_cause()),
+                    stall_level(e.stall_cause()),
+                ];
+                for (stat, v) in levels.iter_mut().zip(live) {
+                    stat.update(now, v);
+                }
+                if g.gen_bool(0.2) {
+                    gap = g.gen_range(0u64..30);
+                }
+            }
+            let q_cause = if queued + reserve < capacity {
+                None
+            } else if queued < capacity {
+                Some(ReserveFull)
+            } else {
+                Some(QueueFull)
+            };
+            let r_cause = if held.len() < live_lanes {
+                None
+            } else if live_lanes < lanes {
+                Some(LaneMasked)
+            } else {
+                Some(LaneBusy)
+            };
+            assert_eq!((q.len(), e.occupied()), (queued, held.len()), "cycle {now}");
+            assert_eq!((q.stall_cause(), e.stall_cause()), (q_cause, r_cause), "cycle {now}");
+            occ.observe(queued as u64);
+            q_stall.sample(q_cause, [QueueFull, ReserveFull]);
+            r_stall.sample(r_cause, [LaneBusy, LaneMasked]);
+            if g.gen_bool(0.1) || gap == 0 {
+                let mut view = registry.clone();
+                for stat in &levels {
+                    stat.render(now, &mut view);
+                }
+                let view = view.snapshot();
+                let q_view = StallRef::rendered(&view, "queue.q", [QueueFull, ReserveFull]);
+                let r_view = StallRef::rendered(&view, "rule.r", [LaneBusy, LaneMasked]);
+                assert_eq!(view.histogram("queue.q.occupancy_hist"), Some(&occ), "cycle {now}");
+                assert_eq!(q_view, q_stall, "cycle {now}");
+                assert_eq!(r_view, r_stall, "cycle {now}");
+            }
+        }
+    }
+}

@@ -234,6 +234,93 @@ fn restore_rejects_a_stage_tracker_that_breaks_derived_idle() {
     assert!(Fabric::restore(&app.spec, &app.input, cfg, &doc).is_ok());
 }
 
+/// One step of a document path: an object member or an array element.
+#[derive(Clone, Copy)]
+enum Step {
+    Key(&'static str),
+    Idx(usize),
+}
+
+/// Mutable node at `steps` below `j`.
+fn node<'a>(j: &'a mut Json, steps: &[Step]) -> &'a mut Json {
+    steps.iter().fold(j, |j, s| match *s {
+        Step::Key(k) => member(j, k),
+        Step::Idx(i) => item(j, i),
+    })
+}
+
+/// `steps` written as the document path restore errors name, such as
+/// `/mem/requests/v[0]`.
+fn path_of(steps: &[Step]) -> String {
+    steps
+        .iter()
+        .map(|s| match *s {
+            Step::Key(k) => format!("/{k}"),
+            Step::Idx(i) => format!("[{i}]"),
+        })
+        .collect()
+}
+
+#[test]
+fn restore_rejects_out_of_range_in_flight_memory_requests() {
+    // A request that outlives its snapshot is completed against the
+    // image and answered on its port, so a region, offset or port out of
+    // range used to panic the resumed run (an out-of-bounds image read).
+    // Restore must refuse it and name the leaf, wherever the request
+    // waits: the request FIFO, a latency pipe, admission, or backoff.
+    use Step::{Idx, Key};
+    let mut covered = std::collections::BTreeSet::new();
+    // Pause points that, between them, hold a request in every container.
+    for (fault_seed, at) in [(None, 400), (None, 500), (Some(5), 500)] {
+        let (app, cfg) = app_cfg("SPEC-BFS", fault_seed, false);
+        let RunSplit::Paused(fabric) = Fabric::new(&app.spec, &app.input, cfg.clone())
+            .run_until(at)
+            .unwrap()
+        else {
+            panic!("SPEC-BFS runs longer than {at} cycles");
+        };
+        let mut doc = fabric.snapshot();
+        // The first request held by each container, as its path.
+        let mut sites: Vec<Vec<Step>> = Vec::new();
+        for (container, tail) in [
+            (&[Key("mem"), Key("requests"), Key("v")][..], &[][..]),
+            (&[Key("mem"), Key("requests"), Key("s")], &[]),
+            (&[Key("mem"), Key("hit_pipe")], &[Idx(1)]),
+            (&[Key("mem"), Key("write_pipe")], &[Idx(1)]),
+            (&[Key("mem"), Key("miss_pipe")], &[Idx(1), Key("q")]),
+            (&[Key("mem"), Key("lost")], &[Idx(1), Key("q")]),
+            (&[Key("mem"), Key("miss_wait")], &[Key("q")]),
+        ] {
+            if matches!(node(&mut doc, container), Json::Arr(v) if !v.is_empty()) {
+                covered.insert(path_of(&container[..2]));
+                sites.push([container, &[Idx(0)], tail].concat());
+            }
+        }
+        for site in &sites {
+            for (leaf, value) in [("o", 1_000_000_000), ("r", 1_000), ("p", 1_000_000)] {
+                let mut bad = doc.clone();
+                *member(node(&mut bad, site), leaf) = Json::U64(value);
+                let want = format!("{}/{leaf}", path_of(site));
+                let err = Fabric::restore(&app.spec, &app.input, cfg.clone(), &bad)
+                    .err()
+                    .unwrap_or_else(|| panic!("{want} = {value} was accepted"));
+                assert!(
+                    err.contains(&want),
+                    "{want} = {value}: error names another path: {err}"
+                );
+            }
+        }
+        // The unmutated document still restores.
+        assert!(Fabric::restore(&app.spec, &app.input, cfg, &doc).is_ok());
+    }
+    let containers = ["hit_pipe", "lost", "miss_pipe", "miss_wait", "requests", "write_pipe"];
+    assert_eq!(
+        covered.into_iter().collect::<Vec<_>>(),
+        containers.map(|k| format!("/mem/{k}")),
+        "a request container was never exercised"
+    );
+}
+
 props! {
     // Full fabric runs per case; keep the count modest.
     cases = 6;
