@@ -685,7 +685,9 @@ impl Fabric {
             tr_queues,
             tr_rules,
         };
-        fabric.reseed_levels();
+        for (stat, live) in fabric.levels_live() {
+            stat.reseed(0, live);
+        }
         fabric
     }
 
@@ -1262,15 +1264,6 @@ impl Fabric {
     fn levels_live(&mut self) -> impl Iterator<Item = (&mut LevelStat, u64)> + '_ {
         let live = live_levels(&self.queues, &self.mem, &self.engines);
         self.mids.levels.iter_mut().zip(live)
-    }
-
-    /// Re-seeds every level statistic from the live state, with every
-    /// cycle through the current one credited (construction).
-    fn reseed_levels(&mut self) {
-        let now = self.cycle;
-        for (stat, live) in self.levels_live() {
-            stat.reseed(now, live);
-        }
     }
 
     /// Closes every timeline window whose last cycle the clock has

@@ -793,6 +793,39 @@ impl MemorySubsystem {
         ])
     }
 
+    /// Checks that every in-flight request addresses a word of the image
+    /// and answers on one of `ports`, or names the first that does not
+    /// by its document path (`/mem/...`).
+    fn check_requests(&self, ports: usize) -> Result<(), String> {
+        fn of_miss(e: &MissEntry) -> &MemReq {
+            &e.req
+        }
+        let sites: [(&str, &str, Vec<&MemReq>); 7] = [
+            ("requests/v", "", self.requests.iter().collect()),
+            ("requests/s", "", self.requests.iter_staged().collect()),
+            ("hit_pipe", "[1]", self.hit_pipe.iter_entries().map(|(_, r)| r).collect()),
+            ("write_pipe", "[1]", self.write_pipe.iter_entries().map(|(_, r)| r).collect()),
+            ("miss_pipe", "[1]/q", self.miss_pipe.iter_entries().map(|(_, e)| of_miss(e)).collect()),
+            ("miss_wait", "/q", self.miss_wait.iter().map(of_miss).collect()),
+            ("lost", "[1]/q", self.lost.iter().map(|(_, e)| of_miss(e)).collect()),
+        ];
+        let regions = self.image.region_count();
+        for (container, tail, reqs) in sites {
+            for (i, req) in reqs.into_iter().enumerate() {
+                let (r, o, p) = (req.region.0, req.offset, req.port);
+                let words = (r < regions).then(|| self.image.region(req.region).len() as u64);
+                let problem = match words {
+                    None => format!("r: region {r} out of range ({regions} regions)"),
+                    Some(w) if o >= w => format!("o: offset {o} outside region {r} ({w} words)"),
+                    _ if p as usize >= ports => format!("p: port {p} out of range ({ports} ports)"),
+                    _ => continue,
+                };
+                return Err(format!("snapshot: /mem/{container}[{i}]{tail}/{problem}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Restores state captured by [`MemorySubsystem::snapshot_json`] into
     /// a structurally identical subsystem (same config, same image
     /// layout). Every in-flight request must address a word of the image
@@ -800,6 +833,14 @@ impl MemorySubsystem {
     /// does not is rejected with its document path (`/mem/...`), since
     /// completing it would read out of bounds or deliver nowhere.
     pub(crate) fn restore_json(&mut self, j: &Json, ports: usize) -> Result<(), String> {
+        let miss_from = |e: &Json| -> Result<MissEntry, String> {
+            Ok(MissEntry {
+                req: snapshot::memreq_from(snapshot::field(e, "q")?)?,
+                retries: snapshot::u64_field(e, "r")? as u32,
+                born: snapshot::u64_field(e, "b")?,
+                refetch: snapshot::bool_field(e, "f")?,
+            })
+        };
         let regions = snapshot::arr_field(j, "image")?;
         if regions.len() != self.image.region_count() {
             return Err(format!(
@@ -825,45 +866,11 @@ impl MemorySubsystem {
             return Err("snapshot: tag array size mismatch".into());
         }
         self.tags.tags = tags;
-        let image = &self.image;
-        let req_at = |rj: &Json, path: String| -> Result<MemReq, String> {
-            let req = snapshot::memreq_from(rj)?;
-            let region = req.region.0;
-            if region >= image.region_count() {
-                return Err(format!(
-                    "snapshot: {path}/r: region {region} out of range ({} regions)",
-                    image.region_count()
-                ));
-            }
-            let words = image.region(req.region).len();
-            if req.offset >= words as u64 {
-                return Err(format!(
-                    "snapshot: {path}/o: offset {} outside region {region} ({words} words)",
-                    req.offset
-                ));
-            }
-            if req.port as usize >= ports {
-                return Err(format!(
-                    "snapshot: {path}/p: port {} out of range ({ports} ports)",
-                    req.port
-                ));
-            }
-            Ok(req)
-        };
-        let miss_at = |e: &Json, path: String| -> Result<MissEntry, String> {
-            Ok(MissEntry {
-                req: req_at(snapshot::field(e, "q")?, format!("{path}/q"))?,
-                retries: snapshot::u64_field(e, "r")? as u32,
-                born: snapshot::u64_field(e, "b")?,
-                refetch: snapshot::bool_field(e, "f")?,
-            })
-        };
         let reqs = snapshot::field(j, "requests")?;
         let decode_reqs = |key: &str| -> Result<Vec<MemReq>, String> {
             snapshot::arr_field(reqs, key)?
                 .iter()
-                .enumerate()
-                .map(|(i, r)| req_at(r, format!("/mem/requests/{key}[{i}]")))
+                .map(snapshot::memreq_from)
                 .collect()
         };
         let (visible, staged) = (decode_reqs("v")?, decode_reqs("s")?);
@@ -878,48 +885,44 @@ impl MemorySubsystem {
         let decode_req_pipe = |key: &str| -> Result<Vec<(Cycle, MemReq)>, String> {
             snapshot::arr_field(j, key)?
                 .iter()
-                .enumerate()
-                .map(|(i, p)| {
+                .map(|p| {
                     let pair = snapshot::need_arr(p, key)?;
                     let [c, r] = pair else {
                         return Err(format!("snapshot: malformed `{key}` entry"));
                     };
-                    Ok((
-                        snapshot::need_u64(c, key)?,
-                        req_at(r, format!("/mem/{key}[{i}][1]"))?,
-                    ))
+                    Ok((snapshot::need_u64(c, key)?, snapshot::memreq_from(r)?))
                 })
                 .collect()
         };
         self.hit_pipe = DelayLine::from_parts(self.hit_pipe.latency(), decode_req_pipe("hit_pipe")?);
         self.write_pipe =
             DelayLine::from_parts(self.write_pipe.latency(), decode_req_pipe("write_pipe")?);
-        let decode_miss_pipe = |key: &str| -> Result<Vec<(Cycle, MissEntry)>, String> {
-            snapshot::arr_field(j, key)?
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let pair = snapshot::need_arr(p, key)?;
-                    let [c, e] = pair else {
-                        return Err(format!("snapshot: malformed `{key}` entry"));
-                    };
-                    Ok((
-                        snapshot::need_u64(c, key)?,
-                        miss_at(e, format!("/mem/{key}[{i}][1]"))?,
-                    ))
-                })
-                .collect()
-        };
-        let miss_pipe = decode_miss_pipe("miss_pipe")?;
-        let lost = decode_miss_pipe("lost")?;
-        let miss_wait = snapshot::arr_field(j, "miss_wait")?
+        let miss_entries: Vec<(Cycle, MissEntry)> = snapshot::arr_field(j, "miss_pipe")?
             .iter()
-            .enumerate()
-            .map(|(i, e)| miss_at(e, format!("/mem/miss_wait[{i}]")))
+            .map(|p| {
+                let pair = snapshot::need_arr(p, "miss_pipe")?;
+                let [c, e] = pair else {
+                    return Err("snapshot: malformed `miss_pipe` entry".to_string());
+                };
+                Ok((snapshot::need_u64(c, "miss_pipe")?, miss_from(e)?))
+            })
             .collect::<Result<_, String>>()?;
-        self.miss_pipe = DelayLine::from_parts(self.miss_pipe.latency(), miss_pipe);
-        self.miss_wait = miss_wait;
-        self.lost = lost;
+        self.miss_pipe = DelayLine::from_parts(self.miss_pipe.latency(), miss_entries);
+        self.miss_wait = snapshot::arr_field(j, "miss_wait")?
+            .iter()
+            .map(miss_from)
+            .collect::<Result<_, String>>()?;
+        self.lost = snapshot::arr_field(j, "lost")?
+            .iter()
+            .map(|p| {
+                let pair = snapshot::need_arr(p, "lost")?;
+                let [at, e] = pair else {
+                    return Err("snapshot: malformed `lost` entry".to_string());
+                };
+                Ok((snapshot::need_u64(at, "lost")?, miss_from(e)?))
+            })
+            .collect::<Result<_, String>>()?;
+        self.check_requests(ports)?;
         let lf = snapshot::field(j, "link_failed")?;
         self.link_failed = match lf {
             Json::Null => None,
